@@ -163,7 +163,9 @@ def run_cancellation(quick: bool) -> dict:
     budget = 0.5 if quick else 0.75
     problem = hard_problem(size, seed=0)
     options = PortfolioOptions(
-        algorithms=("greedy_min_term", "branch_and_bound", "exhaustive"),
+        # No fast exact member: its proof of optimality would end the race
+        # (and terminate exhaustive) before the deadline this run measures.
+        algorithms=("greedy_min_term", "exhaustive"),
         budget_seconds=budget,
         # Lift the size guard so exhaustive genuinely chews on n! permutations
         # (minutes of work) instead of refusing the instance.

@@ -31,10 +31,15 @@ scalar sort key is ``(ε, ε̄)`` with a stable sort over generation order, and
 the lazy pass reorders precisely those tie groups by ``ε̄`` (stable again),
 the surviving beam — content *and* order — is identical to the scalar path's,
 so the two kernels return the same plan and the same cost, bit for bit.
+
+Both kernels consult the ambient cancel scope (:mod:`repro.core.cancel`)
+once per level, so a portfolio race that no longer needs the search stops it
+within one level.
 """
 
 from __future__ import annotations
 
+from repro.core.cancel import active_scope
 from repro.core.evaluation import PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
@@ -72,16 +77,21 @@ class BeamSearchOptimizer:
         kernel = resolve_kernel(self.kernel, problem.size)
         beam: list[PrefixState] = [evaluator.root()]
         overflowed = False
+        cancel = active_scope()
 
         if kernel == "vector":
             batch = batch_evaluator(evaluator, self.fast_math)
             for level in range(problem.size):
+                if cancel is not None:
+                    cancel.check()
                 beam, level_overflowed = self._vector_level(
                     batch, beam, final=level + 1 == problem.size, stats=stats
                 )
                 overflowed = overflowed or level_overflowed
         else:
             for _ in range(problem.size):
+                if cancel is not None:
+                    cancel.check()
                 candidates: list[PrefixState] = []
                 for state in beam:
                     for successor in state.allowed_extensions():

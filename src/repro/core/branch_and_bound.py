@@ -34,12 +34,17 @@ pre-extracted arrays.  The kernel's ``ε`` matches the from-scratch cost
 model (:func:`repro.core.cost_model.bottleneck_cost`) bit for bit, so the
 pruning decisions are exactly those the paper's measures prescribe and the
 returned plan is a true optimum of the reported (oracle) cost.
+
+Beside its node and time limits, every expanded node checks the ambient
+cancel scope (:mod:`repro.core.cancel`), so a portfolio race that already
+has a proven answer stops the search at the next node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.cancel import active_scope
 from repro.core.evaluation import PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
@@ -142,6 +147,7 @@ class BranchAndBoundOptimizer:
         self._evaluator = problem.evaluator()
         kernel = resolve_kernel(self.options.kernel, problem.size)
         self._batch = batch_evaluator(self._evaluator) if kernel == "vector" else None
+        self._cancel = active_scope()
         stats.extra["kernel"] = kernel
 
         if self.options.seed_incumbent:
@@ -332,6 +338,8 @@ class BranchAndBoundOptimizer:
         return min(start.extend(second).epsilon for second in candidates)
 
     def _check_limits(self) -> None:
+        if self._cancel is not None:
+            self._cancel.check()
         options = self.options
         if options.node_limit is not None and self._stats.nodes_expanded > options.node_limit:
             raise SearchLimitExceededError(

@@ -37,10 +37,14 @@ bit-identical cost.  ``dp_states`` (cells reached) matches the scalar count
 exactly; ``nodes_expanded`` counts cell writes, which on the vector path
 equals ``dp_states`` rather than the scalar sweep's path-dependent
 strict-improvement count.
+
+The scalar sweep checks the ambient cancel scope (:mod:`repro.core.cancel`)
+once per reachable mask, the vector sweep once per layer.
 """
 
 from __future__ import annotations
 
+from repro.core.cancel import active_scope
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
 from repro.core.vector import batch_evaluator, resolve_kernel
@@ -171,10 +175,13 @@ class DynamicProgrammingOptimizer:
         stats.nodes_expanded = seeds
         dp_states = seeds
 
+        cancel = active_scope()
         for mask in range(1, full_mask + 1):
             value_row = values[mask]
             if value_row is None:
                 continue
+            if cancel is not None:
+                cancel.check()
             not_mask = ~mask
             for last in range(size):
                 value = value_row[last]
@@ -252,9 +259,12 @@ class DynamicProgrammingOptimizer:
         # 1 << i is increasing in i, so the seed layer is already mask-ascending.
         layer_masks = np.array([1 << index for index in seed_services], dtype=np.int64)
 
+        cancel = active_scope()
         for _ in range(size - 1):
             if layer_masks.size == 0:
                 break
+            if cancel is not None:
+                cancel.check()
             next_masks: list[np.ndarray] = []
             for start in range(0, layer_masks.size, _VECTOR_DP_CHUNK_MASKS):
                 chunk = layer_masks[start : start + _VECTOR_DP_CHUNK_MASKS]

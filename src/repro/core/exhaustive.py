@@ -18,11 +18,14 @@ the kernel's arithmetic makes the minimum bit-identical to evaluating every
 feasible permutation with :func:`repro.core.cost_model.bottleneck_cost`.
 
 ``nodes_expanded`` counts the feasible prefixes visited (including complete
-plans); ``plans_evaluated`` counts the complete feasible plans.
+plans); ``plans_evaluated`` counts the complete feasible plans.  Every
+prefix with at least two services still to place checks the ambient cancel
+scope (:mod:`repro.core.cancel`).
 """
 
 from __future__ import annotations
 
+from repro.core.cancel import active_scope
 from repro.core.evaluation import PrefixState
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
@@ -61,6 +64,7 @@ class ExhaustiveOptimizer:
         selectivities = evaluator.selectivities
         rows = evaluator.rows
         sink = evaluator.sink
+        cancel = active_scope()
 
         def visit(state: PrefixState) -> None:
             nonlocal best_cost, best_order
@@ -98,6 +102,8 @@ class ExhaustiveOptimizer:
                         best_order = state.order + (successor,)
                         stats.incumbent_updates += 1
                 return
+            if cancel is not None:
+                cancel.check()
             for successor in state.allowed_extensions():
                 visit(state.extend(successor))
 

@@ -29,6 +29,9 @@ scalar running-strict-improvement scan keeps — so both kernels walk the
 identical descent trajectory.  Simulated annealing stays on the scalar delta
 path by construction: its seeded trajectory scores one sequentially-drawn
 proposal at a time, which is exactly the shape batching cannot help.
+
+Both heuristics check the ambient cancel scope (:mod:`repro.core.cancel`)
+once per iteration (hill climbing) or proposal step (annealing).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from repro.core.cancel import active_scope
 from repro.core.greedy import GreedyOptimizer, GreedyStrategy
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult, SearchStatistics
@@ -95,12 +99,15 @@ class HillClimbingOptimizer:
         evaluator = problem.evaluator()
         kernel = resolve_kernel(self.kernel, problem.size)
         current = _initial_order(problem, self.seed)
+        cancel = active_scope()
 
         if kernel == "vector":
             batch = batch_evaluator(evaluator, self.fast_math)
             current_cost = float(batch.score_orders([current])[0])
             stats.plans_evaluated += 1
             for _ in range(self.max_iterations):
+                if cancel is not None:
+                    cancel.check()
                 stats.nodes_expanded += 1
                 neighbour, cost, evaluated = batch.best_neighbor(current, current_cost)
                 stats.plans_evaluated += evaluated
@@ -115,6 +122,8 @@ class HillClimbingOptimizer:
             stats.plans_evaluated += 1
             size = len(current)
             for _ in range(self.max_iterations):
+                if cancel is not None:
+                    cancel.check()
                 stats.nodes_expanded += 1
                 best_neighbour: tuple[int, ...] | None = None
                 best_cost = current_cost
@@ -211,7 +220,10 @@ class SimulatedAnnealingOptimizer:
         size = len(current)
 
         temperature = options.initial_temperature * max(current_cost, 1e-12)
+        cancel = active_scope()
         for _ in range(options.steps):
+            if cancel is not None:
+                cancel.check()
             stats.nodes_expanded += 1
             if size < 2:
                 proposal = current

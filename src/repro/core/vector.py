@@ -50,6 +50,7 @@ call overhead dominates and the scalar kernel is faster).  Requesting
 from __future__ import annotations
 
 import os
+import threading
 from typing import TYPE_CHECKING, Sequence
 
 try:  # numpy is optional: the scalar kernel is the always-available fallback.
@@ -244,13 +245,10 @@ class BatchEvaluator:
         "sink",
         "predecessor_masks",
         "has_precedence",
-        "_move_gather",
-        "_move_list",
-        "_swap_count",
+        "_moves_table",
         "_rows_flat",
         "_service_bits",
-        "_order_ws",
-        "_front_ws",
+        "_workspaces",
     )
 
     def __init__(self, evaluator: "PlanEvaluator", fast_math: bool = False) -> None:
@@ -274,20 +272,20 @@ class BatchEvaluator:
         self.has_precedence = evaluator.predecessor_masks is not None
         masks = evaluator.predecessor_masks if self.has_precedence else (0,) * self.size
         self.predecessor_masks = np.array(masks, dtype=np.int64)
-        self._move_gather = None
-        self._move_list: list[tuple[int, int]] | None = None
-        self._swap_count = 0
+        self._moves_table: "tuple[np.ndarray, list[tuple[int, int]], int] | None" = None
         self._rows_flat = np.ascontiguousarray(self.rows).reshape(-1)
         self._service_bits = np.int64(1) << np.arange(self.size, dtype=np.int64)
-        # Single-slot workspaces: batch scoring is dominated by allocating
-        # (batch, size) temporaries (fresh pages each call), and real callers
-        # reuse one batch shape over and over — a hill climb always scores the
-        # same move count, a beam search the same front width.
-        self._order_ws: "tuple[int, tuple[np.ndarray, ...]] | None" = None
-        self._front_ws: "tuple[int, tuple[np.ndarray, ...]] | None" = None
+        # Single-slot workspaces, one set per thread: batch scoring is
+        # dominated by allocating (batch, size) temporaries (fresh pages each
+        # call), and real callers reuse one batch shape over and over — a hill
+        # climb always scores the same move count, a beam search the same
+        # front width.  Portfolio members racing on threads share this
+        # evaluator, so a shared slot would let one member overwrite another's
+        # scratch mid-call.
+        self._workspaces = threading.local()
 
     def _order_workspace(self, batch: int) -> "tuple[np.ndarray, ...]":
-        cached = self._order_ws
+        cached = getattr(self._workspaces, "order", None)
         if cached is not None and cached[0] == batch:
             return cached[1]
         shape = (batch, self.size)
@@ -298,11 +296,11 @@ class BatchEvaluator:
             np.empty(shape, dtype=np.float64),  # outgoing
             np.empty((batch, max(self.size - 1, 1)), dtype=np.intp),  # flat transfer idx
         )
-        self._order_ws = (batch, arrays)
+        self._workspaces.order = (batch, arrays)
         return arrays
 
     def _front_workspace(self, count: int) -> "tuple[np.ndarray, ...]":
-        cached = self._front_ws
+        cached = getattr(self._workspaces, "front", None)
         if cached is not None and cached[0] == count:
             return cached[1]
         shape = (count, self.size)
@@ -313,7 +311,7 @@ class BatchEvaluator:
             np.empty(shape, dtype=bool),  # feasibility
             np.empty(shape, dtype=np.int64),  # placed-bit scratch
         )
-        self._front_ws = (count, arrays)
+        self._workspaces.front = (count, arrays)
         return arrays
 
     # -- complete-plan batches ---------------------------------------------
@@ -466,7 +464,8 @@ class BatchEvaluator:
         ``i != j`` — so "first index attaining the minimum" means the same
         move in both kernels.
         """
-        if self._move_gather is None:
+        table = self._moves_table
+        if table is None:
             size = self.size
             identity = list(range(size))
             gathers: list[list[int]] = []
@@ -486,11 +485,9 @@ class BatchEvaluator:
                     row.insert(j, row.pop(i))
                     gathers.append(row)
                     moves.append((i, j))
-            self._move_gather = np.array(gathers, dtype=np.intp)
-            self._move_list = moves
-            self._swap_count = swap_count
-        assert self._move_list is not None
-        return self._move_gather, self._move_list, self._swap_count
+            # Published as one tuple, so a racing thread sees all or nothing.
+            table = self._moves_table = (np.array(gathers, dtype=np.intp), moves, swap_count)
+        return table
 
     def neighborhood_orders(self, order: Sequence[int]) -> "np.ndarray":
         """All swap/relocate candidates of ``order`` as a ``(moves, size)`` matrix."""

@@ -22,12 +22,19 @@ and act on the returned decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.optimizer import optimize
 from repro.core.problem import OrderingProblem
 from repro.exceptions import EstimationError
 
-__all__ = ["ParameterDrift", "ReoptimizationDecision", "AdaptiveReoptimizer", "compute_drift"]
+__all__ = [
+    "ParameterDrift",
+    "ReoptimizationDecision",
+    "AdaptiveReoptimizer",
+    "compute_drift",
+    "max_relative_change",
+]
 
 
 def _relative_change(old: float, new: float) -> float:
@@ -36,6 +43,11 @@ def _relative_change(old: float, new: float) -> float:
     if scale < 1e-12:
         return 0.0
     return abs(new - old) / scale
+
+
+def max_relative_change(old: Iterable[float], new: Iterable[float]) -> float:
+    """The largest :func:`_relative_change` over paired parameters (0 when empty)."""
+    return max(map(_relative_change, old, new), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -72,33 +84,15 @@ def compute_drift(current: OrderingProblem, observed: OrderingProblem) -> Parame
             "cannot compute drift: the two problems describe different service sets"
         )
     index_map = [observed.service_index(service.name) for service in current.services]
-
-    cost_drift = 0.0
-    selectivity_drift = 0.0
-    for current_index, observed_index in enumerate(index_map):
-        cost_drift = max(
-            cost_drift,
-            _relative_change(current.costs[current_index], observed.costs[observed_index]),
-        )
-        selectivity_drift = max(
-            selectivity_drift,
-            _relative_change(
-                current.selectivities[current_index], observed.selectivities[observed_index]
-            ),
-        )
-
-    transfer_drift = 0.0
-    for i in range(current.size):
-        for j in range(current.size):
-            if i == j:
-                continue
-            transfer_drift = max(
-                transfer_drift,
-                _relative_change(
-                    current.transfer_cost(i, j),
-                    observed.transfer_cost(index_map[i], index_map[j]),
-                ),
-            )
+    cost_drift = max_relative_change(current.costs, [observed.costs[i] for i in index_map])
+    selectivity_drift = max_relative_change(
+        current.selectivities, [observed.selectivities[i] for i in index_map]
+    )
+    pairs = [(i, j) for i in range(current.size) for j in range(current.size) if i != j]
+    transfer_drift = max_relative_change(
+        [current.transfer_cost(i, j) for i, j in pairs],
+        [observed.transfer_cost(index_map[i], index_map[j]) for i, j in pairs],
+    )
     return ParameterDrift(
         max_cost_drift=cost_drift,
         max_selectivity_drift=selectivity_drift,

@@ -44,6 +44,11 @@ class SearchLimitExceededError(OptimizationError):
     """An optimizer hit a configured node or time limit before completing."""
 
 
+class OptimizationCancelledError(OptimizationError):
+    """An optimizer stopped because its cancel scope was cancelled
+    (see :mod:`repro.core.cancel`): its portfolio race no longer needs it."""
+
+
 class ProblemTooLargeError(OptimizationError):
     """An exact algorithm was asked to solve an instance beyond its configured size guard."""
 

@@ -107,7 +107,11 @@ def race_processes(
     dedicated processes until ``budget_seconds`` expires (``None`` waits for
     all), at which point still-running members are *terminated* — not merely
     abandoned — and reported in
-    :attr:`~repro.serving.portfolio.PortfolioResult.timed_out`.
+    :attr:`~repro.serving.portfolio.PortfolioResult.timed_out`.  A result
+    proven optimal ends the race early the same way: the members still
+    running are terminated and reported in
+    :attr:`~repro.serving.portfolio.PortfolioResult.cancelled` (a proven
+    seed starts no member at all).
     """
     from repro.serving.portfolio import PortfolioResult
 
@@ -129,9 +133,12 @@ def race_processes(
         errors[seed_name] = f"{seed_name} rejected the options: {error}"
 
     racing = options.algorithms[1:]
+    proven = any(result.optimal for result in results.values())
+    timed_out: list[str] = []
+    cancelled: list[str] = list(racing) if proven else []
     trace = current_trace()
     members = {}
-    for name in racing:
+    for name in () if proven else racing:
         member_options = tuple(dict(options.algorithm_options.get(name, {})).items())
         process = context.Process(
             target=_race_member_main,
@@ -143,7 +150,18 @@ def race_processes(
         members[name] = process
 
     outstanding = set(members)
-    while outstanding:
+
+    def record(name: str, ok: bool, payload_or_error, member_spans) -> bool:
+        """Fold one member report in; return whether it proved optimality."""
+        outstanding.discard(name)
+        emit_spans(member_spans)
+        if not ok:
+            errors[name] = payload_or_error
+            return False
+        results[name] = result_from_wire(payload_or_error, problem)
+        return results[name].optimal
+
+    while outstanding and not proven:
         if budget_seconds is None:
             timeout = _LIVENESS_POLL_SECONDS
         else:
@@ -152,7 +170,7 @@ def race_processes(
                 break
             timeout = min(timeout, _LIVENESS_POLL_SECONDS)
         try:
-            name, ok, payload_or_error, member_spans = result_queue.get(timeout=timeout)
+            report = result_queue.get(timeout=timeout)
         except queue.Empty:
             # A member that died without reporting (OOM kill, hard crash)
             # must not be waited on — especially with no budget, where the
@@ -163,13 +181,7 @@ def race_processes(
             if dead:
                 try:
                     while True:
-                        name, ok, payload_or_error, member_spans = result_queue.get_nowait()
-                        outstanding.discard(name)
-                        emit_spans(member_spans)
-                        if ok:
-                            results[name] = result_from_wire(payload_or_error, problem)
-                        else:
-                            errors[name] = payload_or_error
+                        proven = record(*result_queue.get_nowait()) or proven
                 except queue.Empty:
                     pass
                 for name in [n for n in dead if n in outstanding]:
@@ -181,20 +193,17 @@ def race_processes(
             if budget_seconds is not None and stopwatch.elapsed >= budget_seconds:
                 break
             continue
-        outstanding.discard(name)
-        emit_spans(member_spans)
-        if ok:
-            results[name] = result_from_wire(payload_or_error, problem)
-        else:
-            errors[name] = payload_or_error
+        proven = record(*report) or proven
 
-    timed_out = []
+    # Whatever is still running lost: to a proof (cancelled) or to the
+    # deadline (timed out).  Either way it is terminated, not abandoned.
+    abandoned = cancelled if proven else timed_out
     for name in outstanding:
         process = members[name]
         if process.is_alive():
             process.terminate()
         process.join(timeout=_JOIN_GRACE_SECONDS)
-        timed_out.append(name)
+        abandoned.append(name)
     result_queue.close()
     result_queue.cancel_join_thread()
 
@@ -209,5 +218,6 @@ def race_processes(
         results=results,
         errors=errors,
         timed_out=tuple(sorted(timed_out)),
+        cancelled=tuple(sorted(cancelled)),
         elapsed_seconds=stopwatch.stop(),
     )

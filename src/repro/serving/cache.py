@@ -16,11 +16,14 @@ Eviction policy:
   ``stale``) so the caller can answer immediately and re-optimize in the
   background — the serving layer's classic stale-while-revalidate contract.
 
-Drift-based revalidation hooks into :func:`repro.estimation.adaptive.compute_drift`:
-fingerprint quantization deliberately buckets nearby problems onto the same
-key, so :meth:`PlanCache.needs_revalidation` measures how far the requesting
-problem's parameters have drifted from the ones the cached plan was optimized
-for and reports when they moved beyond the configured threshold.
+Drift-based revalidation: fingerprint quantization deliberately buckets
+nearby problems onto the same key, so :meth:`PlanCache.needs_revalidation`
+measures how far the requesting problem's parameters have drifted from the
+ones the cached plan was optimized for and reports when they moved beyond the
+configured threshold.  Each entry keeps only those parameters — a compact
+:class:`DriftReference` in canonical order — rather than the whole problem,
+and drift is measured position by position through the two fingerprints'
+canonical orders, so a renamed or re-indexed resubmission shows no drift.
 
 Storage is pluggable (:mod:`repro.serving.store`): the cache owns the policy
 above, while the recency-ordered entry map with LRU eviction lives behind the
@@ -34,17 +37,25 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.problem import OrderingProblem
-from repro.estimation.adaptive import compute_drift
-from repro.exceptions import EstimationError, ServingError
+from repro.estimation.adaptive import ParameterDrift, max_relative_change
+from repro.exceptions import ServingError
 from repro.obs.trace import trace_span
 from repro.serving.fingerprint import ProblemFingerprint
 from repro.serving.store import CacheStore, LocalStore
 
-__all__ = ["CacheStats", "CachedPlan", "CacheLookup", "PlanCache", "SingleFlight"]
+__all__ = [
+    "CacheStats",
+    "CachedPlan",
+    "CacheLookup",
+    "DriftReference",
+    "PlanCache",
+    "SingleFlight",
+]
 
 
 @dataclass
@@ -98,6 +109,49 @@ class CacheStats:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class DriftReference:
+    """The parameters the drift check reads, packed in canonical order.
+
+    Processing costs, selectivities and the transfer matrix (row-major,
+    ``size * size``) as ``array('d')``, listed in the canonical order of the
+    problem's fingerprint: position ``p`` describes the service at canonical
+    position ``p``, which is the same service in every problem sharing the
+    fingerprint however it is indexed or named.
+    """
+
+    costs: array
+    selectivities: array
+    transfer: array
+
+    @classmethod
+    def capture(cls, problem: OrderingProblem, fingerprint: ProblemFingerprint) -> "DriftReference":
+        """The reference of ``problem``, ordered by its own ``fingerprint``."""
+        order = fingerprint.canonical_order
+        costs = problem.costs
+        selectivities = problem.selectivities
+        rows = [problem.transfer.row(index) for index in order]
+        return cls(
+            array("d", [costs[index] for index in order]),
+            array("d", [selectivities[index] for index in order]),
+            array("d", [row[index] for row in rows for index in order]),
+        )
+
+    def drift(self, observed: "DriftReference") -> ParameterDrift:
+        """Largest relative parameter changes from this reference to ``observed``.
+
+        The diagonal of the transfer matrix is zero in both, so including it
+        changes nothing.
+        """
+        if observed == self:
+            return ParameterDrift(0.0, 0.0, 0.0)
+        return ParameterDrift(
+            max_cost_drift=max_relative_change(self.costs, observed.costs),
+            max_selectivity_drift=max_relative_change(self.selectivities, observed.selectivities),
+            max_transfer_drift=max_relative_change(self.transfer, observed.transfer),
+        )
+
+
 @dataclass(frozen=True)
 class CachedPlan:
     """One cached optimization outcome, stored in canonical positions."""
@@ -117,8 +171,8 @@ class CachedPlan:
     optimal: bool
     """Whether the producing algorithm guarantees global optimality."""
 
-    problem: OrderingProblem
-    """The concrete instance the plan was optimized for (drift reference)."""
+    reference: DriftReference
+    """Parameters of the instance the plan was optimized for (drift reference)."""
 
     created_at: float
     """Cache-clock timestamp of the insertion."""
@@ -318,7 +372,7 @@ class PlanCache:
             cost=cost,
             algorithm=algorithm,
             optimal=optimal,
-            problem=problem,
+            reference=DriftReference.capture(problem, fingerprint),
             created_at=self.clock(),
         )
         assert self.store is not None
@@ -346,23 +400,25 @@ class PlanCache:
     # -- revalidation ------------------------------------------------------
 
     def needs_revalidation(
-        self, entry: CachedPlan, problem: OrderingProblem, drift_threshold: float
+        self,
+        entry: CachedPlan,
+        problem: OrderingProblem,
+        fingerprint: ProblemFingerprint,
+        drift_threshold: float,
     ) -> bool:
-        """Whether ``problem`` drifted too far from the entry's reference problem.
+        """Whether ``problem`` drifted too far from the entry's reference.
 
         Quantization maps nearby problems to one fingerprint; this measures the
-        *actual* parameter drift (via
-        :func:`repro.estimation.adaptive.compute_drift`) between the problem
-        the plan was optimized for and the one now asking.  Problems whose
-        service sets cannot be matched by name are conservatively reported as
-        needing revalidation.
+        *actual* parameter drift between the problem the plan was optimized
+        for and ``problem`` (whose own ``fingerprint`` lines its services up
+        with the reference, position by position).  A reference of another
+        size cannot be lined up and is conservatively reported as drifted.
         """
-        try:
-            drift = compute_drift(entry.problem, problem)
-        except EstimationError:
+        observed = DriftReference.capture(problem, fingerprint)
+        if len(observed.costs) != len(entry.reference.costs):
             drifted = True
         else:
-            drifted = drift.exceeds(drift_threshold)
+            drifted = entry.reference.drift(observed).exceeds(drift_threshold)
         if drifted:
             with self._lock:
                 self._stats.revalidations += 1

@@ -8,7 +8,13 @@ much longer on large instances.  The portfolio exploits that spread:
 1. the **anytime seed** — the first configured algorithm (greedy by default)
    runs synchronously, so there is always an answer to return, then
 2. the remaining algorithms **race** on a :class:`~concurrent.futures.ThreadPoolExecutor`
-   until the budget expires, each completed result refining the incumbent.
+   until the budget expires, each completed result refining the incumbent,
+3. unless a result is **proven optimal** (``optimal=True``: branch-and-bound,
+   dynamic programming, a beam that never overflowed).  No member can beat a
+   proof, so the race returns at once — a proven seed submits nothing — and
+   the members still running are reported in
+   :attr:`PortfolioResult.cancelled`.  The served cost is the one the full
+   race would have picked.
 
 The portfolio reuses :data:`repro.core.optimizer.ALGORITHMS` — it never
 duplicates a runner — and returns the best
@@ -25,16 +31,20 @@ The race runs on one of two interchangeable backends
 
 * ``"threads"`` (default) — a shared
   :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap per race, but
-  Python threads cannot be killed: an algorithm still running at the deadline
-  keeps its worker busy until it finishes on its own, so the executor is
+  Python threads cannot be killed, so members run under one cooperative
+  :class:`~repro.core.cancel.CancelScope` per race: when the race returns
+  with members still running (a proof arrived, or the deadline passed) it
+  cancels the scope, and every iterative optimizer stops at its next level,
+  node or iteration.  An algorithm without such checks (the greedy
+  heuristics, a custom runner) still finishes on its own, so the executor is
   sized with spare workers to keep one straggler from stalling the next
   request's race.
 * ``"processes"`` — :func:`repro.parallel.race.race_processes`.  Every racing
-  member gets its own OS process and is *terminated* at the deadline, so even
-  a hopelessly over-budget exact solver (exhaustive enumeration on a large
-  instance) costs exactly the budget.  This is the backend that makes exact
-  members safe in the default ladder, at the price of per-race process
-  startup.
+  member gets its own OS process and is *terminated* at the deadline or on a
+  proof, so even a hopelessly over-budget exact solver (exhaustive
+  enumeration on a large instance) costs at most the budget.  This is the
+  backend that makes arbitrary members safe in the ladder, at the price of
+  per-race process startup.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.core.cancel import CancelScope, cancel_scope
 from repro.core.optimizer import ALGORITHMS, optimize
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult
@@ -82,9 +93,9 @@ class PortfolioOptions:
     """Per-algorithm keyword options, e.g. ``{"beam_search": {"beam_width": 8}}``."""
 
     backend: str = "threads"
-    """Racing backend: ``"threads"`` (shared executor, stragglers run on) or
-    ``"processes"`` (dedicated processes, stragglers terminated at the
-    deadline)."""
+    """Racing backend: ``"threads"`` (shared executor, stragglers stopped
+    cooperatively) or ``"processes"`` (dedicated processes, stragglers
+    terminated)."""
 
     mp_context: str | None = None
     """Multiprocessing start method of the process backend (``"fork"`` /
@@ -136,6 +147,10 @@ class PortfolioResult:
 
     timed_out: tuple[str, ...]
     """Members that had not finished when the budget expired."""
+
+    cancelled: tuple[str, ...]
+    """Members stopped (or never started) because a result was already
+    proven optimal."""
 
     elapsed_seconds: float
     """Wall-clock time the race took (≤ budget + seed time)."""
@@ -210,7 +225,9 @@ class PortfolioOptimizer:
         with trace_span("portfolio.race", backend=options.backend) as race_span:
             result = self._race(problem, options, budget)
             race_span.annotate(
-                completed=len(result.results), timed_out=len(result.timed_out)
+                completed=len(result.results),
+                timed_out=len(result.timed_out),
+                cancelled=len(result.cancelled),
             )
         return result
 
@@ -241,26 +258,41 @@ class PortfolioOptimizer:
             errors[seed_name] = str(error)
 
         racing = options.algorithms[1:]
-        # Racing members run on executor threads, where the ambient trace
-        # contextvar does not flow; hand the captured activation over
-        # explicitly so their spans join this request's tree.
-        context = capture()
-        futures = {
-            self._executor.submit(self._traced_member, problem, name, context): name
-            for name in racing
-        }
-        remaining = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
-        done, pending = concurrent.futures.wait(futures, timeout=remaining)
-        for future in done:
-            name = futures[future]
-            try:
-                results[name] = future.result()
-            except ReproError as error:
-                errors[name] = str(error)
-        timed_out = []
-        for future in pending:
-            future.cancel()
-            timed_out.append(futures[future])
+        proven = any(result.optimal for result in results.values())
+        timed_out: list[str] = []
+        cancelled: list[str] = list(racing) if proven else []
+        if racing and not proven:
+            # Racing members run on executor threads, where neither the
+            # ambient trace nor the cancel scope flows; hand both over.
+            context = capture()
+            scope = CancelScope()
+            futures = {
+                self._executor.submit(self._traced_member, problem, name, context, scope): name
+                for name in racing
+            }
+            pending = set(futures)
+            while pending and not proven:
+                remaining = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
+                done, pending = concurrent.futures.wait(
+                    pending, timeout=remaining, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                if not done:
+                    break  # the budget expired
+                for future in done:
+                    name = futures[future]
+                    try:
+                        results[name] = future.result()
+                    except ReproError as error:
+                        errors[name] = str(error)
+                    else:
+                        proven = proven or results[name].optimal
+            if pending:
+                # Abandoned members would otherwise run on and hold the GIL.
+                scope.cancel()
+                abandoned = cancelled if proven else timed_out
+                for future in pending:
+                    future.cancel()
+                    abandoned.append(futures[future])
 
         if not results:
             raise OptimizationError(
@@ -273,13 +305,18 @@ class PortfolioOptimizer:
             results=results,
             errors=errors,
             timed_out=tuple(sorted(timed_out)),
+            cancelled=tuple(sorted(cancelled)),
             elapsed_seconds=stopwatch.stop(),
         )
 
     def _traced_member(
-        self, problem: OrderingProblem, name: str, context: ActiveTrace | None
+        self,
+        problem: OrderingProblem,
+        name: str,
+        context: ActiveTrace | None,
+        scope: CancelScope,
     ) -> OptimizationResult:
-        with trace_span("portfolio.member", context=context, algorithm=name):
+        with cancel_scope(scope), trace_span("portfolio.member", context=context, algorithm=name):
             return self._run_member(problem, name)
 
     def _run_member(self, problem: OrderingProblem, name: str) -> OptimizationResult:

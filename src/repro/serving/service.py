@@ -273,6 +273,11 @@ class PlanService:
             labelnames=("kind",),
         )
         self._kernel_seen: dict[str, int] = {}
+        self._cancelled_counter = self.obs.registry.counter(
+            "repro_portfolio_cancelled_total",
+            "Portfolio members stopped because another member proved its plan optimal.",
+            labelnames=("member",),
+        )
         if self.config.kernel != "auto":
             # Install the explicit choice process-wide so portfolio members,
             # pool workers and process shards all score on the same kernel.
@@ -566,7 +571,9 @@ class PlanService:
             return None
         needs_refresh = lookup.stale or (
             self.config.drift_threshold is not None
-            and self.cache.needs_revalidation(entry, problem, self.config.drift_threshold)
+            and self.cache.needs_revalidation(
+                entry, problem, fingerprint, self.config.drift_threshold
+            )
         )
         if needs_refresh:
             self._schedule_revalidation(problem, fingerprint.key)
@@ -691,6 +698,8 @@ class PlanService:
         fingerprint: ProblemFingerprint | None = None,
     ):
         race = self._portfolio.optimize(problem, budget_seconds=budget_seconds)
+        for member in race.cancelled:
+            self._cancelled_counter.inc(member=member)
         result = race.best
         if not self.config.cache_enabled:
             return result

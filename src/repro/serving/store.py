@@ -29,9 +29,11 @@ Two implementations ship:
   recency is mtime-granular, so LRU order is approximate under concurrent
   readers — evictions still happen, only their victim choice blurs.
 
-Entries round-trip through JSON (problems via
-:func:`repro.serialization.problem_to_dict`), never pickle: payloads stay
-inspectable on disk and survive interpreter upgrades.
+Entries round-trip through JSON, never pickle: payloads stay inspectable on
+disk and survive interpreter upgrades.  The document format is versioned
+(:data:`_ENTRY_VERSION`); a file of any other version — e.g. a ``v: 1``
+entry that still carried the whole drift-reference problem — reads as a
+miss and is replaced by the next put.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import json
 import os
 import tempfile
 import threading
+from array import array
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
@@ -53,6 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (cache.py imports us)
     from repro.serving.cache import CachedPlan
 
 __all__ = ["CacheStore", "LocalStore", "SharedStore"]
+
+_ENTRY_VERSION = 2
+"""Version of a stored entry document.  ``v: 2`` stores the compact
+canonical-order :class:`~repro.serving.cache.DriftReference`; ``v: 1`` stored
+the whole problem and is no longer read."""
 
 _ENTRY_SUFFIX = ".plan.json"
 """Filename suffix of one stored entry in a :class:`SharedStore` directory."""
@@ -163,11 +171,10 @@ class LocalStore:
 
 
 def _entry_to_document(key: str, entry: "CachedPlan") -> dict[str, object]:
-    from repro.serialization import problem_to_dict
-
     fingerprint = entry.fingerprint
+    reference = entry.reference
     return {
-        "v": 1,
+        "v": _ENTRY_VERSION,
         "key": key,
         "fingerprint": {
             "digest": fingerprint.digest,
@@ -179,16 +186,19 @@ def _entry_to_document(key: str, entry: "CachedPlan") -> dict[str, object]:
         "cost": entry.cost,
         "algorithm": entry.algorithm,
         "optimal": entry.optimal,
-        "problem": problem_to_dict(entry.problem),
+        "reference": {
+            "costs": reference.costs.tolist(),
+            "selectivities": reference.selectivities.tolist(),
+            "transfer": reference.transfer.tolist(),
+        },
         "created_at": entry.created_at,
     }
 
 
 def _entry_from_document(document: dict[str, object]) -> "tuple[str, CachedPlan]":
-    from repro.serialization import problem_from_dict
-    from repro.serving.cache import CachedPlan
+    from repro.serving.cache import CachedPlan, DriftReference
 
-    if document.get("v") != 1:
+    if document.get("v") != _ENTRY_VERSION:
         raise ServingError(f"unsupported store entry version {document.get('v')!r}")
     fp = document["fingerprint"]
     fingerprint = ProblemFingerprint(
@@ -197,13 +207,18 @@ def _entry_from_document(document: dict[str, object]) -> "tuple[str, CachedPlan]
         size=fp["size"],
         canonical_order=tuple(fp["canonical_order"]),
     )
+    reference = document["reference"]
     entry = CachedPlan(
         fingerprint=fingerprint,
         positions=tuple(document["positions"]),
         cost=float(document["cost"]),
         algorithm=str(document["algorithm"]),
         optimal=bool(document["optimal"]),
-        problem=problem_from_dict(document["problem"]),
+        reference=DriftReference(
+            array("d", reference["costs"]),
+            array("d", reference["selectivities"]),
+            array("d", reference["transfer"]),
+        ),
         created_at=float(document["created_at"]),
     )
     return str(document["key"]), entry

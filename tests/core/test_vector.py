@@ -448,3 +448,70 @@ def test_without_numpy_explicit_vector_request_raises_kernel_error():
             raise AssertionError("optimizer with kernel='vector' must fail without numpy")
         """
     )
+
+
+# -- thread safety ----------------------------------------------------------------
+
+
+@needs_numpy
+def test_racing_threads_share_one_batch_evaluator_safely():
+    """Portfolio members race on threads over one cached BatchEvaluator; the
+    scratch workspaces are per thread, so concurrent calls of every shape
+    stay bit-identical to the scalar kernel (no WRITEBACKIFCOPY errors)."""
+    import random
+    import threading
+
+    rng = random.Random(5)
+    size = 16
+    problem = OrderingProblem.from_parameters(
+        [rng.uniform(0.5, 5.0) for _ in range(size)],
+        [rng.uniform(0.3, 1.2) for _ in range(size)],
+        [[0.0 if i == j else rng.uniform(0.0, 4.0) for j in range(size)] for i in range(size)],
+    )
+    evaluator = problem.evaluator()
+    batch = batch_evaluator(evaluator)
+    root = evaluator.root()
+    level_two = [root.extend(a).extend(b) for a in range(size) for b in range(size) if a != b]
+    fronts = [level_two[:width] for width in (1, 3, 7, 16, 40)]
+    expected_fronts = [
+        [state.extend(successor).epsilon for state in front for successor in state.allowed_extensions()]
+        for front in fronts
+    ]
+    bases = [tuple(rng.sample(range(size), size)) for _ in range(3)]
+    expected_neighbors = []
+    for base in bases:
+        candidates = [tuple(int(i) for i in row) for row in batch.neighborhood_orders(base)]
+        costs = [problem.cost(candidate) for candidate in candidates]
+        winner = min(range(len(costs)), key=lambda index: (costs[index], index))
+        expected_neighbors.append((candidates[winner], costs[winner]))
+
+    start = threading.Barrier(4)
+    failures: list[str] = []
+
+    def worker(offset: int) -> None:
+        start.wait()
+        try:
+            for step in range(60):
+                index = (step + offset) % len(fronts)
+                _, _, epsilons = batch.score_front(fronts[index], final=False)
+                if epsilons.tolist() != expected_fronts[index]:
+                    failures.append(f"front {index} diverged")
+                base_index = (step + offset) % len(bases)
+                order, cost, _ = batch.best_neighbor(bases[base_index], float("inf"))
+                if (order, cost) != expected_neighbors[base_index]:
+                    failures.append(f"neighbourhood {base_index} diverged")
+        except Exception as error:  # a workspace clash surfaces as a numpy error
+            failures.append(f"{type(error).__name__}: {error}")
+
+    threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads inside every batch call
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

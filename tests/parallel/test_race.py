@@ -48,7 +48,11 @@ class TestProcessBackend:
             four_service_problem, PortfolioOptions(budget_seconds=None, backend="processes")
         )
         assert processes.best.cost == threads.best.cost
-        assert set(processes.results) == set(threads.results)
+        # Which members a proof cancels depends on timing; between results
+        # and cancellations both backends account for every member.
+        assert set(processes.results) | set(processes.cancelled) == set(threads.results) | set(
+            threads.cancelled
+        )
         assert processes.best.optimal
 
     def test_member_errors_are_recorded_not_fatal(self, four_service_problem):
@@ -86,7 +90,9 @@ class TestHardCancellation:
         problem = pruning_resistant_problem(11)
         budget = 0.5
         options = PortfolioOptions(
-            algorithms=("greedy_min_term", "branch_and_bound", "exhaustive"),
+            # No fast exact member: its proof would cancel exhaustive before
+            # the deadline this test is about.
+            algorithms=("greedy_min_term", "exhaustive"),
             budget_seconds=budget,
             # Lift the size guard so exhaustive really starts chewing on
             # 11! permutations (minutes of work on any machine).
@@ -100,6 +106,42 @@ class TestHardCancellation:
         assert "exhaustive" in race.timed_out
         assert race.best.cost <= optimize(problem, algorithm="greedy_min_term").cost + 1e-9
         problem.validate_plan(race.best.order)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the in-test registry patch only reaches fork children",
+    )
+    def test_proof_terminates_a_slow_non_exact_member(self, four_service_problem, monkeypatch):
+        from repro.core.optimizer import ALGORITHMS
+
+        def slow_heuristic(problem, **options):
+            time.sleep(30.0)
+            return optimize(problem, algorithm="greedy_min_term")
+
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", slow_heuristic)
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "slow_heuristic", "branch_and_bound"),
+            budget_seconds=None,
+            backend="processes",
+        )
+        started = time.perf_counter()
+        race = run_portfolio(four_service_problem, options)
+        assert time.perf_counter() - started < 10.0, "the race waited for the slow member"
+        assert race.cancelled == ("slow_heuristic",)
+        assert race.timed_out == ()
+        assert race.best.algorithm == "branch_and_bound" and race.best.optimal
+
+    def test_proven_seed_starts_no_member(self, four_service_problem):
+        race = run_portfolio(
+            four_service_problem,
+            PortfolioOptions(
+                algorithms=("branch_and_bound", "exhaustive"),
+                budget_seconds=None,
+                backend="processes",
+            ),
+        )
+        assert set(race.results) == {"branch_and_bound"}
+        assert race.cancelled == ("exhaustive",)
 
     def test_zero_budget_still_returns_the_anytime_seed(self, four_service_problem):
         race = run_portfolio(

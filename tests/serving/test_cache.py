@@ -137,8 +137,10 @@ class TestDriftRevalidation:
             list(problem.selectivities),
             problem.transfer.as_lists(),
         )
-        assert cache.needs_revalidation(entry, drifted, drift_threshold=0.05)
-        assert not cache.needs_revalidation(entry, problem, drift_threshold=0.05)
+        assert cache.needs_revalidation(
+            entry, drifted, fingerprint_problem(drifted), drift_threshold=0.05
+        )
+        assert not cache.needs_revalidation(entry, problem, fingerprint, drift_threshold=0.05)
         assert cache.stats().revalidations == 1
 
     def test_unmatchable_service_sets_are_conservatively_revalidated(self):
@@ -147,13 +149,29 @@ class TestDriftRevalidation:
         fingerprint = store(cache, problem)
         entry = cache.get(fingerprint).entry
         assert entry is not None
-        renamed = OrderingProblem.from_parameters(
-            list(problem.costs),
-            list(problem.selectivities),
-            problem.transfer.as_lists(),
-            names=["p", "q", "r", "s"],
+        # A reference of another size cannot be lined up position by position.
+        larger = random_problem(5, 5)
+        assert cache.needs_revalidation(
+            entry, larger, fingerprint_problem(larger), drift_threshold=0.05
         )
-        assert cache.needs_revalidation(entry, renamed, drift_threshold=0.05)
+
+    def test_renamed_permuted_problem_shows_no_drift(self):
+        """Drift is positional: names and indexing play no part."""
+        cache = PlanCache(capacity=4)
+        problem = random_problem(5, 8)
+        store(cache, problem)
+        permutation = [3, 0, 4, 1, 2]
+        renamed = OrderingProblem.from_parameters(
+            [problem.costs[i] for i in permutation],
+            [problem.selectivities[i] for i in permutation],
+            [[problem.transfer_cost(i, j) for j in permutation] for i in permutation],
+            names=["p", "q", "r", "s", "t"],
+        )
+        fingerprint = fingerprint_problem(renamed)
+        entry = cache.get(fingerprint).entry
+        assert entry is not None
+        assert not cache.needs_revalidation(entry, renamed, fingerprint, drift_threshold=0.0)
+        assert cache.stats().revalidations == 0
 
 
 class TestCounters:

@@ -158,6 +158,32 @@ class TestStaleWhileRevalidate:
             if response.cache_hit:
                 assert plan_service.cache.stats().revalidations >= 1
 
+    def test_renamed_permuted_resubmission_schedules_no_revalidation(self, monkeypatch):
+        """Regression: drift used to match services by name, so every hit of
+        a renamed but identical problem scheduled a background refresh."""
+        problem = random_problem(6, 12)
+        permutation = [4, 2, 0, 5, 1, 3]
+        renamed = OrderingProblem.from_parameters(
+            [problem.costs[i] for i in permutation],
+            [problem.selectivities[i] for i in permutation],
+            [[problem.transfer_cost(i, j) for j in permutation] for i in permutation],
+            names=[f"renamed{i}" for i in range(6)],
+        )
+        with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
+            scheduled = []
+            monkeypatch.setattr(
+                plan_service, "_schedule_revalidation", lambda *args: scheduled.append(args)
+            )
+            plan_service.submit(problem)
+            for _ in range(5):
+                response = plan_service.submit(renamed)
+                assert response.cache_hit
+                assert response.cost == problem.cost(
+                    [permutation[index] for index in response.order]
+                )
+            assert scheduled == []
+            assert plan_service.cache.stats().revalidations == 0
+
 
 class TestStress:
     def test_no_lost_or_duplicated_responses_under_concurrency(self):

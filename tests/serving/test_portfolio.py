@@ -2,14 +2,72 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import optimize
+from repro.core import OrderingProblem, PrecedenceGraph, optimize
+from repro.core.cancel import active_scope
 from repro.core.optimizer import ALGORITHMS
-from repro.exceptions import ServingError
-from repro.serving import PortfolioOptimizer, PortfolioOptions, run_portfolio
+from repro.exceptions import OptimizationCancelledError, ServingError
+from repro.obs import parse_prometheus_text
+from repro.obs.trace import activate_trace
+from repro.serving import (
+    PlanService,
+    PlanServiceConfig,
+    PortfolioOptimizer,
+    PortfolioOptions,
+    run_portfolio,
+)
+
+
+@st.composite
+def problems(draw, min_size: int = 2, max_size: int = 7):
+    """Random instances, with and without sink transfers and precedence."""
+    size = draw(st.integers(min_size, max_size))
+    costs = draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size))
+    selectivities = draw(st.lists(st.floats(0.05, 2.0), min_size=size, max_size=size))
+    flat = draw(st.lists(st.floats(0.0, 10.0), min_size=size * size, max_size=size * size))
+    rows = [[0.0 if i == j else flat[i * size + j] for j in range(size)] for i in range(size)]
+    sink = None
+    if draw(st.booleans()):
+        sink = draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size))
+    precedence = None
+    if draw(st.booleans()):
+        # Edges along a random topological order keep the DAG acyclic.
+        topo = draw(st.permutations(range(size)))
+        edges = [
+            (topo[a], topo[b])
+            for a in range(size)
+            for b in range(a + 1, size)
+            if draw(st.integers(0, 3)) == 0
+        ]
+        if edges:
+            precedence = PrecedenceGraph(size, edges)
+    return OrderingProblem.from_parameters(
+        costs, selectivities, rows, precedence=precedence, sink_transfer=sink
+    )
+
+
+def stoppable_heuristic(stopped: threading.Event):
+    """A slow non-exact member that honours the cancel scope every 10 ms."""
+
+    def runner(problem, **options):
+        scope = active_scope()
+        try:
+            for _ in range(500):
+                if scope is not None:
+                    scope.check()
+                time.sleep(0.01)
+        except OptimizationCancelledError:
+            stopped.set()
+            raise
+        return optimize(problem, algorithm="greedy_min_term")
+
+    return runner
 
 
 class TestOptions:
@@ -35,7 +93,11 @@ class TestOptions:
 class TestRace:
     def test_best_result_is_at_least_as_good_as_every_member(self, four_service_problem):
         race = run_portfolio(four_service_problem, PortfolioOptions(budget_seconds=None))
-        assert set(race.results) == {"greedy_min_term", "beam_search", "branch_and_bound"}
+        # A proof ends the race early, so a member still running then is
+        # cancelled rather than completed.
+        members = {"greedy_min_term", "beam_search", "branch_and_bound"}
+        assert set(race.results) | set(race.cancelled) == members
+        assert not set(race.results) & set(race.cancelled)
         for result in race.results.values():
             assert race.best.cost <= result.cost + 1e-9
         assert race.best.optimal  # branch-and-bound completed and is exact
@@ -100,6 +162,79 @@ class TestRace:
         race = run_portfolio(four_service_problem, PortfolioOptions(budget_seconds=None))
         assert race.refinement >= 0.0
         assert race.elapsed_seconds >= 0.0
+
+
+class TestEarlyExit:
+    """A proven-optimal result ends the race; the stragglers are stopped."""
+
+    def test_proof_ends_the_race_and_stops_the_straggler(
+        self, four_service_problem, monkeypatch
+    ):
+        stopped = threading.Event()
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", stoppable_heuristic(stopped))
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "slow_heuristic", "branch_and_bound"),
+            budget_seconds=None,
+        )
+        started = time.perf_counter()
+        race = run_portfolio(four_service_problem, options)
+        assert time.perf_counter() - started < 2.5, "the race waited for the straggler"
+        assert race.cancelled == ("slow_heuristic",)
+        assert race.timed_out == ()
+        assert race.best.optimal and race.best.algorithm == "branch_and_bound"
+        assert stopped.wait(2.0), "the cancelled member kept running"
+
+    def test_proven_seed_submits_nothing(self, four_service_problem, monkeypatch):
+        calls = []
+
+        def recording(problem, **options):
+            calls.append(problem)
+            return optimize(problem, algorithm="beam_search")
+
+        monkeypatch.setitem(ALGORITHMS, "recording_beam", recording)
+        options = PortfolioOptions(
+            algorithms=("branch_and_bound", "recording_beam"), budget_seconds=None
+        )
+        race = run_portfolio(four_service_problem, options)
+        assert set(race.results) == {"branch_and_bound"}
+        assert race.cancelled == ("recording_beam",)
+        assert calls == []
+
+    def test_deadline_stragglers_are_stopped_too(self, four_service_problem, monkeypatch):
+        stopped = threading.Event()
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", stoppable_heuristic(stopped))
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "slow_heuristic"), budget_seconds=0.05
+        )
+        race = run_portfolio(four_service_problem, options)
+        assert race.timed_out == ("slow_heuristic",)
+        assert race.cancelled == ()
+        assert stopped.wait(2.0)
+
+    def test_cancellations_are_traced_and_counted(self, four_service_problem, monkeypatch):
+        stopped = threading.Event()
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", stoppable_heuristic(stopped))
+        config = PlanServiceConfig(
+            algorithms=("greedy_min_term", "slow_heuristic", "branch_and_bound"),
+            budget_seconds=None,
+            observability=True,
+        )
+        with PlanService(config) as service, activate_trace() as active:
+            service.submit(four_service_problem)
+            parsed = parse_prometheus_text(service.obs.registry.render())
+        assert parsed["repro_portfolio_cancelled_total"][(("member", "slow_heuristic"),)] == 1
+        (race,) = [span for span in active.spans if span.name == "portfolio.race"]
+        assert race.annotations["cancelled"] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems())
+    def test_early_exit_cost_equals_the_best_member_run_alone(self, problem):
+        race = run_portfolio(problem, PortfolioOptions(budget_seconds=None))
+        alone = min(
+            optimize(problem, algorithm=name).cost
+            for name in ("greedy_min_term", "beam_search", "branch_and_bound")
+        )
+        assert race.best.cost == alone
 
 
 class TestLifecycle:

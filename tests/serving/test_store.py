@@ -17,8 +17,9 @@ import pytest
 
 from repro.core import OrderingProblem
 from repro.exceptions import ServingError
-from repro.serving import PlanCache, fingerprint_problem
-from repro.serving.cache import CachedPlan
+from repro.serialization import problem_to_dict
+from repro.serving import PlanCache, PlanService, PlanServiceConfig, fingerprint_problem
+from repro.serving.cache import CachedPlan, DriftReference
 from repro.serving.store import LocalStore, SharedStore
 
 
@@ -40,7 +41,7 @@ def entry_for(problem: OrderingProblem, cost: float = 1.0, created_at: float = 0
         cost=cost,
         algorithm="test",
         optimal=False,
-        problem=problem,
+        reference=DriftReference.capture(problem, fingerprint),
         created_at=created_at,
     )
     return fingerprint.key, entry
@@ -124,9 +125,11 @@ class TestSharedStore:
         fetched = reader.get(key)
         assert fetched is not None
         assert fetched.cost == 4.25
-        # The drift-reference problem survives the JSON round trip exactly.
-        assert fetched.problem.costs == problem.costs
-        assert fetched.problem.selectivities == problem.selectivities
+        # The drift reference survives the JSON round trip exactly.
+        assert fetched.reference == entry.reference
+        assert list(fetched.reference.costs) == [
+            problem.costs[index] for index in entry.fingerprint.canonical_order
+        ]
         assert reader.invalidate(key)
         assert writer.get(key) is None
 
@@ -152,6 +155,25 @@ class TestSharedStore:
         store.put(key, entry)
         assert store.get(key) is not None
         assert len(store) == 1
+
+    def test_v1_entry_reads_as_a_miss_and_is_replaced(self, tmp_path):
+        """A pre-v2 entry (whole problem as drift reference) is a miss, not a 500."""
+        problem = random_problem(4, 6)
+        key, entry = entry_for(problem)
+        SharedStore(tmp_path / "plans", capacity=8).put(key, entry)
+        (path,) = list((tmp_path / "plans").iterdir())
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["reference"]
+        document["v"] = 1
+        document["problem"] = problem_to_dict(problem)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert SharedStore(tmp_path / "plans", capacity=8).get(key) is None
+
+        config = PlanServiceConfig(budget_seconds=None, cache_store_dir=str(tmp_path / "plans"))
+        with PlanService(config) as service:
+            assert not service.submit(problem).cache_hit
+            assert service.submit(problem).cache_hit
+        assert json.loads(path.read_text(encoding="utf-8"))["v"] == 2
 
     def test_no_temp_file_debris_after_puts(self, tmp_path):
         store = SharedStore(tmp_path / "plans", capacity=8)
