@@ -3,19 +3,31 @@
 Unlike the experiment benchmarks (one-shot table regeneration), these are
 repeated-measurement benchmarks of the operations a deployment performs in its
 hot path: evaluating the bottleneck cost of a plan, extending a partial plan,
-computing the residual bound, optimizing a mid-size instance, and simulating a
-short stream.
+computing the residual bound, optimizing a mid-size instance, simulating a
+short stream, fingerprinting a request, and answering a warm ``POST /plan``
+in process (no socket).
+
+CI smoke-runs this file with ``python -m pytest benchmarks/bench_micro.py
+--benchmark-disable -q``; drop the flag to get timings.
 """
 
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from repro.core import PartialPlan, branch_and_bound, dynamic_programming
 from repro.core.bounds import max_residual_cost
+from repro.serialization import problem_to_dict
+from repro.serving import PlanService, PlanServiceConfig, fingerprint_problem
+from repro.serving.http import dispatch_request
 from repro.simulation import SimulationConfig, simulate_plan
 from repro.workloads import default_spec, generate_problem
 
 _PROBLEM_8 = generate_problem(default_spec(8), seed=5)
 _PROBLEM_12 = generate_problem(default_spec(12), seed=5)
+_PROBLEM_24 = generate_problem(default_spec(24), seed=5)
 _ORDER_8 = tuple(range(8))
 _PREFIX_12 = PartialPlan.from_order(_PROBLEM_12, tuple(range(6)))
 
@@ -53,3 +65,29 @@ def test_simulation_throughput(benchmark):
         iterations=1,
     )
     assert report.tuple_count == 500
+
+
+def test_fingerprint_24_services(benchmark):
+    fingerprint = benchmark(lambda: fingerprint_problem(_PROBLEM_24))
+    assert fingerprint.size == 24
+
+
+@pytest.fixture(scope="module")
+def primed_service():
+    """A plan service whose cache already holds the n=24 problem's plan."""
+    with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
+        yield plan_service
+
+
+def test_warm_dispatch_24_services(benchmark, primed_service):
+    body = json.dumps(problem_to_dict(_PROBLEM_24)).encode("utf-8")
+    status, _ = dispatch_request(primed_service, "POST", "/plan", body)
+    assert status == 200
+
+    def warm_request() -> bytes:
+        # Decode, fingerprint, cache hit and drift check, then the render.
+        _, payload = dispatch_request(primed_service, "POST", "/plan", body)
+        return json.dumps(payload).encode("utf-8")
+
+    rendered = benchmark(warm_request)
+    assert json.loads(rendered)["cache_hit"] is True

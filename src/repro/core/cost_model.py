@@ -26,6 +26,7 @@ exact agreement, so a divergence fails loudly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,6 +59,46 @@ class CommunicationCostMatrix:
         size = len(rows)
         if size == 0:
             raise InvalidCostMatrixError("cost matrix must have at least one row")
+        validated = self._validated_in_bulk(rows, size)
+        if validated is None:
+            validated = self._validated_per_entry(rows, size)
+        self._rows: tuple[tuple[float, ...], ...] = tuple(validated)
+        self._size = size
+
+    @staticmethod
+    def _validated_in_bulk(
+        rows: Sequence[Sequence[float]], size: int
+    ) -> list[tuple[float, ...]] | None:
+        """The rows as floats when every check passes, else ``None``.
+
+        One C-level ``float`` conversion, ``sum`` and ``min`` per row: a
+        finite sum rules out NaN and infinities, after which ``min`` is a
+        reliable sign check.  Anything suspicious (including a finite matrix
+        whose sum overflows) returns ``None`` so the per-entry loop can
+        accept it or raise its exact error.
+        """
+        validated: list[tuple[float, ...]] = []
+        try:
+            for i, row in enumerate(rows):
+                if len(row) != size:
+                    return None
+                converted = tuple(map(float, row))
+                if (
+                    not math.isfinite(sum(converted))
+                    or min(converted) < 0.0
+                    or converted[i] != 0.0
+                ):
+                    return None
+                validated.append(converted)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return validated
+
+    @staticmethod
+    def _validated_per_entry(
+        rows: Sequence[Sequence[float]], size: int
+    ) -> list[tuple[float, ...]]:
+        """Check every entry on its own, raising on the first invalid one."""
         validated: list[tuple[float, ...]] = []
         for i, row in enumerate(rows):
             if len(row) != size:
@@ -73,8 +114,7 @@ class CommunicationCostMatrix:
                     )
                 converted.append(value)
             validated.append(tuple(converted))
-        self._rows: tuple[tuple[float, ...], ...] = tuple(validated)
-        self._size = size
+        return validated
 
     # -- constructors ------------------------------------------------------
 

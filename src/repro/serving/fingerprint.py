@@ -16,6 +16,14 @@ inputs arrive.  :func:`fingerprint_problem` therefore
    deterministic tie-break.  Re-indexing the same services — the common case of
    "the same query arrived again" — always yields the same canonical order.
 
+Both steps share a single quantization pass, since this runs on every
+request, warm hits included: each parameter is turned into an integer once,
+a service's signature is read off its quantized transfer row and column
+(diagonal excluded), and the hashed canonical document is assembled from the
+same integers.  Digests and canonical orders are exactly those of the
+original per-service formulation (kept in the tests as an oracle), so stored
+cache entries and shard routing are unaffected.
+
 The returned :class:`ProblemFingerprint` also records the canonical
 permutation, which is what lets the cache store plans *positionally*: a cached
 plan is a sequence of canonical positions, translated back into the indices of
@@ -46,9 +54,15 @@ def quantize(value: float, precision: int = DEFAULT_PRECISION) -> int:
     that is hashed free of float-representation noise: ``0.1 + 0.2`` and
     ``0.3`` quantize to the same integer.
     """
+    scale = _grid(precision)
+    return round(float(value) * scale)
+
+
+def _grid(precision: int) -> int:
+    """The quantization scale ``10**precision`` (precision must be non-negative)."""
     if precision < 0:
         raise ServingError(f"precision must be non-negative, got {precision!r}")
-    return round(float(value) * 10**precision)
+    return 10**precision
 
 
 @dataclass(frozen=True)
@@ -97,27 +111,6 @@ class ProblemFingerprint:
             ) from None
 
 
-def _signature(
-    problem: OrderingProblem, index: int, precision: int
-) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...], str]:
-    """The quantized sort key of one service (name is the last tie-break)."""
-    size = problem.size
-    outgoing = tuple(
-        sorted(quantize(problem.transfer_cost(index, j), precision) for j in range(size) if j != index)
-    )
-    incoming = tuple(
-        sorted(quantize(problem.transfer_cost(j, index), precision) for j in range(size) if j != index)
-    )
-    return (
-        quantize(problem.costs[index], precision),
-        quantize(problem.selectivities[index], precision),
-        quantize(problem.sink_cost(index), precision),
-        outgoing,
-        incoming,
-        problem.service(index).name,
-    )
-
-
 def fingerprint_problem(
     problem: OrderingProblem,
     precision: int = DEFAULT_PRECISION,
@@ -138,27 +131,45 @@ def fingerprint_problem(
         under different names yields different fingerprints.  Names always act
         as the deterministic tie-break of the canonical order either way.
     """
+    scale = _grid(precision)
     size = problem.size
-    canonical = tuple(
-        sorted(range(size), key=lambda index: _signature(problem, index, precision))
+    names = [service.name for service in problem.services]
+    # The single quantization pass, on the grid of quantize(): every later
+    # step reads these integers.
+    costs = [round(value * scale) for value in problem.costs]
+    selectivities = [round(value * scale) for value in problem.selectivities]
+    sink = (
+        [round(value * scale) for value in problem.sink_transfer]
+        if problem.sink_transfer is not None
+        else None
     )
+    rows = [[round(value * scale) for value in problem.transfer.row(i)] for i in range(size)]
+    columns = list(zip(*rows))
+
+    def signature(index: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...], str]:
+        # cost, selectivity, sink, the multisets of outgoing and incoming
+        # transfer costs (diagonal excluded), then the name as tie-break.
+        row, column = rows[index], columns[index]
+        return (
+            costs[index],
+            selectivities[index],
+            sink[index] if sink is not None else 0,
+            tuple(sorted(row[:index] + row[index + 1 :])),
+            tuple(sorted(column[:index] + column[index + 1 :])),
+            names[index],
+        )
+
+    canonical = tuple(sorted(range(size), key=signature))
     position_of = {index: position for position, index in enumerate(canonical)}
 
     document: dict[str, object] = {
         "v": 1,
         "precision": precision,
         "size": size,
-        "costs": [quantize(problem.costs[index], precision) for index in canonical],
-        "selectivities": [
-            quantize(problem.selectivities[index], precision) for index in canonical
-        ],
-        "transfer": [
-            [quantize(problem.transfer_cost(i, j), precision) for j in canonical]
-            for i in canonical
-        ],
-        "sink": [quantize(problem.sink_cost(index), precision) for index in canonical]
-        if problem.sink_transfer is not None
-        else None,
+        "costs": [costs[index] for index in canonical],
+        "selectivities": [selectivities[index] for index in canonical],
+        "transfer": [[rows[i][j] for j in canonical] for i in canonical],
+        "sink": [sink[index] for index in canonical] if sink is not None else None,
         "threads": [problem.service(index).threads for index in canonical],
         "precedence": sorted(
             (position_of[before], position_of[after])
@@ -168,7 +179,7 @@ def fingerprint_problem(
         ),
     }
     if include_names:
-        document["names"] = [problem.service(index).name for index in canonical]
+        document["names"] = [names[index] for index in canonical]
 
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -102,6 +102,50 @@ class TestCommunicationCostMatrix:
         assert matrix.cost(0, 1) == 1.0
 
 
+_NAN = float("nan")
+_INF = float("inf")
+
+
+class TestMatrixValidationMessages:
+    """The bulk check falls back to the per-entry loop on any failure, so each
+    invalid matrix raises the same error, with the same message, as always."""
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ([[0.0, _NAN], [1.0, 0.0]], "t[0][1] must be finite, got nan"),
+            ([[0.0, 1.0], [_INF, 0.0]], "t[1][0] must be finite, got inf"),
+            ([[0.0, -_INF], [1.0, 0.0]], "t[0][1] must be finite, got -inf"),
+            (
+                [[0.0, 1.0, 2.0], [1.0, 0.0, -0.5], [1.0, 1.0, 0.0]],
+                "t[1][2] must be non-negative, got -0.5",
+            ),
+            ([[0.0, 1.0], [1.0, 0.25]], "diagonal entry t[1][1] must be zero, got 0.25"),
+            ([[0.0, "fast"], [1.0, 0.0]], "t[0][1] must be a real number, got 'fast'"),
+            ([[0.0, None], [1.0, 0.0]], "t[0][1] must be a real number, got None"),
+            (
+                [[0.0, 1.0], [2.0, 0.0, 3.0]],
+                "cost matrix must be square: row 1 has 3 entries, expected 2",
+            ),
+            ([], "cost matrix must have at least one row"),
+        ],
+        ids=["nan", "inf", "-inf", "negative", "diagonal", "string", "none", "ragged", "empty"],
+    )
+    def test_error_message_is_unchanged(self, rows, message):
+        with pytest.raises(InvalidCostMatrixError) as caught:
+            CommunicationCostMatrix(rows)
+        assert str(caught.value) == message
+
+    def test_bool_int_and_numeric_string_entries_convert_to_float(self):
+        matrix = CommunicationCostMatrix([[0, True], ["1.5", False]])
+        assert matrix.as_lists() == [[0.0, 1.0], [1.5, 0.0]]
+        assert all(type(value) is float for row in matrix.as_lists() for value in row)
+
+    def test_negative_zero_is_accepted(self):
+        matrix = CommunicationCostMatrix([[-0.0, 1.0], [-0.0, 0.0]])
+        assert matrix.cost(1, 0) == 0.0
+
+
 class TestBottleneckCost:
     COSTS = (2.0, 1.0, 4.0)
     SELECTIVITIES = (0.5, 0.9, 0.3)

@@ -8,11 +8,14 @@ between equivalent problems.
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from fingerprint_oracle import oracle_fingerprint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CommunicationCostMatrix, OrderingProblem, PrecedenceGraph
+from repro.core import CommunicationCostMatrix, OrderingProblem, PrecedenceGraph, Service
 from repro.exceptions import ServingError
 from repro.serving import fingerprint_problem, quantize
 
@@ -148,3 +151,108 @@ class TestSensitivity:
             fingerprint.to_positions((0, 1, 7))
         with pytest.raises(ServingError):
             fingerprint.from_positions((0, 1, 7))
+
+
+# A few shared values make equal parameters (and so signature ties broken
+# only by name) common; free floats exercise the quantization grid.
+_PARAMETER = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.25]), st.floats(0.0, 5.0))
+
+
+@st.composite
+def oracle_cases(draw):
+    size = draw(st.integers(1, 24))
+    # Services are drawn from a few templates, so several share every
+    # parameter; with a uniform matrix such services differ only by name.
+    templates = draw(st.integers(1, size))
+    template_of = [draw(st.integers(0, templates - 1)) for _ in range(size)]
+    costs = [draw(_PARAMETER) for _ in range(templates)]
+    selectivities = [draw(st.sampled_from([0.1, 0.5, 1.0, 1.5])) for _ in range(templates)]
+    sinks = [draw(_PARAMETER) for _ in range(templates)]
+    if draw(st.booleans()):
+        value = draw(_PARAMETER)
+        rows = [[0.0 if i == j else value for j in range(size)] for i in range(size)]
+    else:
+        # Up to 552 entries: a seeded generator keeps drawing them cheap.
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+        def entry() -> float:
+            return rng.choice([0.0, 0.5, 1.0, 2.25]) if rng.random() < 0.5 else rng.uniform(0, 5)
+
+        rows = [[0.0 if i == j else entry() for j in range(size)] for i in range(size)]
+    names = draw(st.permutations([f"ws{index}" for index in range(size)]))
+    services = [
+        Service(
+            name=names[index],
+            cost=costs[template_of[index]],
+            selectivity=selectivities[template_of[index]],
+            threads=draw(st.integers(1, 2)),
+        )
+        for index in range(size)
+    ]
+    sink = [sinks[template_of[index]] for index in range(size)] if draw(st.booleans()) else None
+    precedence = None
+    if size > 1 and draw(st.booleans()):
+        # Edges follow a random topological order, so the graph stays acyclic.
+        topological = draw(st.permutations(list(range(size))))
+        precedence = PrecedenceGraph(size)
+        for _ in range(draw(st.integers(1, size))):
+            pair = st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True)
+            first, second = sorted(draw(pair))
+            precedence.add(topological[first], topological[second])
+    problem = OrderingProblem(
+        services, CommunicationCostMatrix(rows), precedence=precedence, sink_transfer=sink
+    )
+    return problem, draw(st.integers(0, 6)), draw(st.booleans())
+
+
+GOLDEN_ORDER = (2, 1, 0, 3)
+GOLDEN_DIGEST = "39c63cae3230cc27dc6bd732a90ed8eb7e7614b64e199842d3efd75ea9baaae9"
+GOLDEN_NAMED_DIGEST_P2 = "ae0548027dccc143a1586c583c322e235dd654bc539a9c38d78ba60cfa0d9bef"
+
+
+class TestOracleParity:
+    """Stored entries and shard routing are keyed by digest: the single-pass
+    rewrite must agree with the original implementation exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    def test_digest_and_canonical_order_match_the_oracle(self, case):
+        problem, precision, include_names = case
+        expected = oracle_fingerprint(problem, precision, include_names)
+        actual = fingerprint_problem(problem, precision, include_names)
+        assert actual.digest == expected.digest
+        assert actual.canonical_order == expected.canonical_order
+        assert actual == expected
+
+    def test_golden_digest(self):
+        """A pinned digest: changing it invalidates every stored cache entry."""
+        precedence = PrecedenceGraph(4)
+        precedence.add(2, 0)
+        problem = OrderingProblem(
+            [
+                Service(name="scan", cost=1.5, selectivity=0.4),
+                Service(name="join-b", cost=0.75, selectivity=0.9, threads=2),
+                Service(name="join-a", cost=0.75, selectivity=0.9, threads=2),
+                Service(name="filter", cost=2.0, selectivity=0.1234567),
+            ],
+            CommunicationCostMatrix(
+                [
+                    [0.0, 1.0, 1.0, 0.3],
+                    [0.5, 0.0, 2.0, 0.5],
+                    [0.5, 2.0, 0.0, 0.5],
+                    [0.25, 1.0, 1.0, 0.0],
+                ]
+            ),
+            precedence=precedence,
+            sink_transfer=[0.1, 0.2, 0.2, 0.05],
+        )
+        fingerprint = fingerprint_problem(problem)
+        assert fingerprint.canonical_order == GOLDEN_ORDER
+        assert fingerprint.digest == GOLDEN_DIGEST
+        assert fingerprint_problem(problem, precision=2, include_names=True).digest == (
+            GOLDEN_NAMED_DIGEST_P2
+        )
+
+    def test_negative_precision_is_rejected(self, three_service_problem):
+        with pytest.raises(ServingError, match="precision must be non-negative"):
+            fingerprint_problem(three_service_problem, precision=-1)

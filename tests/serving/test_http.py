@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
+import statistics
 import threading
 import time
 
@@ -11,7 +14,7 @@ from serving_helpers import StubBackend, get_json, post_json, raw_http
 
 from repro.serialization import problem_to_dict
 from repro.serving import PlanService, PlanServiceConfig, serve
-from repro.serving.http import MAX_BODY_BYTES
+from repro.serving.http import MAX_BODY_BYTES, _PlanRequestHandler
 from repro.workloads import credit_card_screening
 
 
@@ -259,3 +262,95 @@ class TestStatsAndHealth:
         status, payload = get_json(f"{server}/healthz")
         assert status == 200
         assert payload == {"status": "ok"}
+
+
+class _CountingSocket:
+    """Forwards to an accepted socket, recording every ``sendall`` payload."""
+
+    def __init__(self, sock: socket.socket, sends: list[bytes]) -> None:
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data) -> None:
+        self._sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestSocketContract:
+    """Regression: headers and body went out as two sends with Nagle on, so
+    every keep-alive answer waited ~40 ms for the client's delayed ACK."""
+
+    @pytest.fixture
+    def recording_server(self):
+        sends: list[bytes] = []
+        nodelay: list[int] = []
+
+        class RecordingHandler(_PlanRequestHandler):
+            def setup(self) -> None:
+                self.request = _CountingSocket(self.request, sends)
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        with PlanService(PlanServiceConfig(budget_seconds=None)) as plan_service:
+            plan_server = serve(plan_service, host="127.0.0.1", port=0)
+            plan_server.RequestHandlerClass = RecordingHandler
+            plan_server.serve_in_background()
+            try:
+                yield plan_server.server_address[:2], sends, nodelay
+            finally:
+                plan_server.shutdown()
+                plan_server.server_close()
+
+    def test_accepted_connections_disable_nagle(self, recording_server):
+        (host, port), _, nodelay = recording_server
+        status, _ = get_json(f"http://{host}:{port}/healthz")
+        assert status == 200
+        assert nodelay and all(flag != 0 for flag in nodelay)
+
+    def test_a_plan_answer_goes_out_in_one_send(self, recording_server):
+        (host, port), sends, _ = recording_server
+        body = json.dumps(problem_to_dict(credit_card_screening())).encode()
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("POST", "/plan", body, {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            payload = response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert len(sends) == 1
+        (sent,) = sends
+        head, _, sent_body = sent.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nContent-Type: application/json\r\n" in head + b"\r\n"
+        assert f"\r\nContent-Length: {len(payload)}".encode() in head
+        assert sent_body == payload
+
+    def test_keepalive_warm_hits_beat_the_delayed_ack_floor(self, server):
+        host, port = server.removeprefix("http://").rsplit(":", 1)
+        body = json.dumps(problem_to_dict(credit_card_screening())).encode()
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.request("POST", "/plan", body, headers)
+            assert connection.getresponse().read()  # cold: fills the cache
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("POST", "/plan", body, headers)
+                response = connection.getresponse()
+                answer = json.loads(response.read())
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200 and answer["cache_hit"] is True
+        finally:
+            connection.close()
+        # A delayed-ACK stall costs >= 40 ms on every request; a warm hit on
+        # this problem costs about a millisecond.  The bounds leave a shared
+        # runner room for scheduling noise while still catching the stall.
+        assert statistics.median(latencies) < 0.020
+        assert sorted(latencies)[17] < 0.035
