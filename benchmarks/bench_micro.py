@@ -4,8 +4,9 @@ Unlike the experiment benchmarks (one-shot table regeneration), these are
 repeated-measurement benchmarks of the operations a deployment performs in its
 hot path: evaluating the bottleneck cost of a plan, extending a partial plan,
 computing the residual bound, optimizing a mid-size instance, simulating a
-short stream, fingerprinting a request, and answering a warm ``POST /plan``
-in process (no socket).
+short stream, fingerprinting a request, answering a warm ``POST /plan`` in
+process (no socket), and racing the default portfolio on a never-seen n=24
+problem (a cache miss's optimizer work).
 
 CI smoke-runs this file with ``python -m pytest benchmarks/bench_micro.py
 --benchmark-disable -q``; drop the flag to get timings.
@@ -20,7 +21,13 @@ import pytest
 from repro.core import PartialPlan, branch_and_bound, dynamic_programming
 from repro.core.bounds import max_residual_cost
 from repro.serialization import problem_to_dict
-from repro.serving import PlanService, PlanServiceConfig, fingerprint_problem
+from repro.serving import (
+    PlanService,
+    PlanServiceConfig,
+    PortfolioOptimizer,
+    PortfolioOptions,
+    fingerprint_problem,
+)
 from repro.serving.http import dispatch_request
 from repro.simulation import SimulationConfig, simulate_plan
 from repro.workloads import default_spec, generate_problem
@@ -91,3 +98,22 @@ def test_warm_dispatch_24_services(benchmark, primed_service):
 
     rendered = benchmark(warm_request)
     assert json.loads(rendered)["cache_hit"] is True
+
+
+@pytest.fixture(scope="module")
+def scalar_portfolio():
+    """The default ladder and budget, with every kernel-aware member on scalar."""
+    scalar = {name: {"kernel": "scalar"} for name in ("beam_search", "branch_and_bound")}
+    with PortfolioOptimizer(PortfolioOptions(algorithm_options=scalar)) as portfolio:
+        yield portfolio
+
+
+def test_cold_portfolio_24_services(benchmark, scalar_portfolio):
+    # A fresh problem per round, built outside the timed region, so every race
+    # also pays for the evaluation kernel a cache miss builds.
+    race = benchmark.pedantic(
+        scalar_portfolio.optimize,
+        setup=lambda: ((generate_problem(default_spec(24), seed=5),), {}),
+        rounds=20,
+    )
+    assert race.best.optimal

@@ -16,11 +16,12 @@ The reported batch speedup therefore compounds *deduplication* (pays off
 everywhere, including single-core CI containers) with *multi-core scaling*
 (pays off on real hardware); the JSON records the workload's duplication
 factor, the per-worker-count runs, and a no-dedup run so the two effects can
-be separated.  The second section demonstrates hard cancellation: a
-portfolio race with a deliberately over-budget exhaustive member
-(11 services, ~minutes of enumeration) must return within its budget on the
-process backend, because stragglers are terminated — the thread backend
-could only abandon them.
+be separated.  The second section demonstrates the budget guarantee: a
+portfolio with a deliberately over-budget exhaustive member (11 services,
+~minutes of enumeration) must return within its budget on the process
+backend.  Exhaustive is exact, so the portfolio runs it inline under a
+deadline of its share of the budget and it stops itself there; a racing
+member that never checks for cancellation would be terminated instead.
 
 Usage::
 
@@ -163,8 +164,8 @@ def run_cancellation(quick: bool) -> dict:
     budget = 0.5 if quick else 0.75
     problem = hard_problem(size, seed=0)
     options = PortfolioOptions(
-        # No fast exact member: its proof of optimality would end the race
-        # (and terminate exhaustive) before the deadline this run measures.
+        # No fast exact member: its proof of optimality would end the
+        # portfolio before exhaustive reached the deadline this run measures.
         algorithms=("greedy_min_term", "exhaustive"),
         budget_seconds=budget,
         # Lift the size guard so exhaustive genuinely chews on n! permutations

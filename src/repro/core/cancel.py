@@ -1,18 +1,24 @@
 """Cooperative cancellation of running optimizers.
 
-Python threads cannot be killed, so a portfolio race that has its answer —
-a member proved optimality, or the budget ran out — must *ask* the members
-it abandons to stop, or they keep burning the GIL and slow the next request.
-The mechanism is one :class:`CancelScope` per race, made ambient inside each
-member's executor thread through a :class:`contextvars.ContextVar` (the same
-idiom as :mod:`repro.obs.trace`):
+Python threads cannot be killed, so a portfolio race that no longer needs a
+member — another member proved optimality, or the budget ran out — must
+*ask* it to stop, or it keeps burning the GIL and slows the next request.
+The mechanism is a :class:`CancelScope`, made ambient inside the member's
+thread through a :class:`contextvars.ContextVar` (the same idiom as
+:mod:`repro.obs.trace`).  A portfolio uses scopes in two ways:
 
-* the race enters :func:`cancel_scope` around every racing member and calls
-  :meth:`CancelScope.cancel` when it returns with members still running;
-* the iterative optimizers read :func:`active_scope` once per ``optimize``
-  call and call :meth:`CancelScope.check` once per level, node or iteration,
-  which raises :class:`~repro.exceptions.OptimizationCancelledError` after a
-  cancellation.
+* each **exact** member runs inline, on the portfolio's calling thread, under
+  its own scope with a monotonic :attr:`CancelScope.deadline` — its fair
+  share of the remaining budget — so an exact search that cannot finish its
+  proof in time stops by itself at the deadline;
+* the heuristics that then **race** on executor threads share one scope per
+  race, which the race :meth:`CancelScope.cancel`-s when it returns with
+  members still running.
+
+The iterative optimizers read :func:`active_scope` once per ``optimize`` call
+and call :meth:`CancelScope.check` once per level, node or iteration, which
+raises :class:`~repro.exceptions.OptimizationCancelledError` after a
+cancellation or past the deadline.
 
 Outside a portfolio no scope is active: the per-level cost is one ``None``
 test, and plans, costs and statistics are unchanged bit for bit.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import contextvars
 import threading
+import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -31,21 +38,27 @@ __all__ = ["CancelScope", "active_scope", "cancel_scope"]
 
 
 class CancelScope:
-    """A one-way cancellation flag shared by the members of one race."""
+    """A one-way cancellation flag, optionally with a monotonic deadline."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_event", "deadline")
 
-    def __init__(self) -> None:
+    def __init__(self, deadline: float | None = None) -> None:
         self._event = threading.Event()
+        self.deadline = deadline
+        """:func:`time.monotonic` value past which :meth:`check` raises
+        (``None``: only :meth:`cancel` stops the optimizers)."""
 
     def cancel(self) -> None:
         """Ask every optimizer running under this scope to stop."""
         self._event.set()
 
     def check(self) -> None:
-        """Raise :class:`~repro.exceptions.OptimizationCancelledError` once cancelled."""
+        """Raise :class:`~repro.exceptions.OptimizationCancelledError` once
+        cancelled or past the deadline."""
         if self._event.is_set():
             raise OptimizationCancelledError("optimization cancelled by its portfolio race")
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise OptimizationCancelledError("optimization ran past its deadline")
 
 
 _active: contextvars.ContextVar[CancelScope | None] = contextvars.ContextVar(

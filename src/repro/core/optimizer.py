@@ -26,7 +26,7 @@ from repro.core.result import OptimizationResult
 from repro.core.srivastava import SrivastavaOptimizer
 from repro.exceptions import OptimizationError
 
-__all__ = ["ALGORITHMS", "optimize", "compare", "available_algorithms"]
+__all__ = ["ALGORITHMS", "EXACT_ALGORITHMS", "optimize", "compare", "available_algorithms"]
 
 
 def _run_branch_and_bound(problem: OrderingProblem, **options: object) -> OptimizationResult:
@@ -83,6 +83,12 @@ ALGORITHMS: Mapping[str, Callable[..., OptimizationResult]] = {
     "srivastava_centralized": _run_srivastava,
 }
 """Registry mapping algorithm names to runner callables."""
+
+EXACT_ALGORITHMS = frozenset({"branch_and_bound", "dynamic_programming", "exhaustive"})
+"""Registry names whose completed result is always proven optimal.  Each checks
+the ambient :class:`~repro.core.cancel.CancelScope` once per node or level, so
+a portfolio can run them inline under a deadline (see
+:mod:`repro.serving.portfolio`)."""
 
 
 def available_algorithms() -> list[str]:

@@ -12,8 +12,8 @@ GIL-bound threads it cannot cancel.  This package adds the multi-core layer:
   pool with warm per-problem evaluator caches and a batch-deduplicating
   :meth:`~OptimizerPool.optimize_many` for bulk plan compilation,
 * :mod:`repro.parallel.race` — :func:`race_processes`, deadline racing whose
-  stragglers are *terminated* at the budget, which is what lets exact solvers
-  join a latency-bounded portfolio safely.
+  stragglers are *terminated* at the budget, which is what lets members that
+  never check for cancellation join a latency-bounded portfolio safely.
 
 The serving layer consumes this package through
 :attr:`repro.serving.portfolio.PortfolioOptions.backend` and

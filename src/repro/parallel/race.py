@@ -2,28 +2,31 @@
 
 The thread-backed portfolio (:mod:`repro.serving.portfolio`) has one
 structural limitation it documents itself: Python threads cannot be killed,
-so a member still running at the deadline keeps its worker busy until it
-finishes on its own.  Exact solvers — exhaustive enumeration, deep
-branch-and-bound — are precisely the members that straggle, which is why the
-default ladder had to treat them with care.
+so a racing member that never checks its cancel scope keeps its worker busy
+until it finishes on its own.
 
-This module removes the limitation by racing every non-seed member in its own
-OS *process*: at the deadline, stragglers are :meth:`~multiprocessing.Process.terminate`-d
-and reaped, so an over-budget exact member costs exactly the budget, never
-more.  Members are started through :func:`repro.parallel.pool.preferred_context`
-(``fork`` where available — member startup must stay cheap relative to
-sub-second budgets); forking from a heavily multi-threaded parent carries the
-usual CPython caveat about locks held by other threads at fork time, so a
-service that prefers safety over startup latency sets
+This module removes the limitation for the portfolio's last phase.  The
+portfolio runs the anytime seed and the inline exact members (which stop at
+their own deadlines) in the parent on both backends, exactly as documented
+in :mod:`repro.serving.portfolio`; only when neither proved optimality does it
+hand the remaining members to :func:`race_processes`, which races each in its
+own OS *process*.  On a proof or at the deadline, stragglers are
+:meth:`~multiprocessing.Process.terminate`-d and reaped, so an over-budget
+member costs exactly the budget, never more.  Members are started through
+:func:`repro.parallel.pool.preferred_context` (``fork`` where available —
+member startup must stay cheap relative to sub-second budgets); forking from a
+heavily multi-threaded parent carries the usual CPython caveat about locks
+held by other threads at fork time, so a service that prefers safety over
+startup latency sets
 :attr:`~repro.serving.portfolio.PortfolioOptions.mp_context` to
 ``"forkserver"`` or ``"spawn"`` (plumbed from
 :class:`~repro.serving.service.PlanServiceConfig` and the CLI's
-``--mp-context``).  The seed member still runs synchronously in the parent (the anytime
-guarantee does not survive a process failure), and the returned
-:class:`~repro.serving.portfolio.PortfolioResult` is indistinguishable from
-the thread backend's — same best-result semantics, same error and timeout
-accounting — so callers switch backends through
-:attr:`~repro.serving.portfolio.PortfolioOptions.backend` alone.
+``--mp-context``).  The race reports in the same shape as the thread
+backend's — results, errors, and the members still running at the end — so
+the portfolio assembles one
+:class:`~repro.serving.portfolio.PortfolioResult` for both, and callers switch
+backends through :attr:`~repro.serving.portfolio.PortfolioOptions.backend`
+alone.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING
 from repro.core.optimizer import optimize
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult
-from repro.exceptions import OptimizationError, ReproError
+from repro.exceptions import ReproError
 from repro.obs.trace import Span, current_trace, emit_spans
 from repro.parallel.codec import result_from_wire, result_to_wire
 from repro.parallel.pool import preferred_context
@@ -43,7 +46,7 @@ from repro.serialization import problem_from_wire, problem_to_wire
 from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.portfolio import PortfolioOptions, PortfolioResult
+    from repro.serving.portfolio import PortfolioOptions
 
 __all__ = ["race_processes"]
 
@@ -98,47 +101,29 @@ def _finish(span, started: float, ok: bool) -> list:
 
 def race_processes(
     problem: OrderingProblem,
+    names: list[str],
     options: "PortfolioOptions",
     budget_seconds: float | None,
-) -> "PortfolioResult":
-    """Race ``options.algorithms`` on ``problem`` with process-level cancellation.
+) -> tuple[dict[str, OptimizationResult], dict[str, str], list[str]]:
+    """Race ``names`` on ``problem``, one process each, with hard cancellation.
 
-    The first algorithm is the synchronous anytime seed; the rest race in
-    dedicated processes until ``budget_seconds`` expires (``None`` waits for
-    all), at which point still-running members are *terminated* — not merely
-    abandoned — and reported in
-    :attr:`~repro.serving.portfolio.PortfolioResult.timed_out`.  A result
-    proven optimal ends the race early the same way: the members still
-    running are terminated and reported in
-    :attr:`~repro.serving.portfolio.PortfolioResult.cancelled` (a proven
-    seed starts no member at all).
+    Members race until ``budget_seconds`` expires (``None`` waits for all) or
+    one returns a result proven optimal.  Returns the completed results (bound
+    to the parent's ``problem``), the members' errors, and the members still
+    running at that point, which have been *terminated* — not merely
+    abandoned.  ``options`` supplies the per-member options and the start
+    method.
     """
-    from repro.serving.portfolio import PortfolioResult
-
     stopwatch = Stopwatch().start()
     payload = problem_to_wire(problem)
     context = preferred_context(options.mp_context)
     result_queue = context.Queue()
-
-    seed_name = options.algorithms[0]
     results: dict[str, OptimizationResult] = {}
     errors: dict[str, str] = {}
-    try:
-        results[seed_name] = optimize(
-            problem, algorithm=seed_name, **dict(options.algorithm_options.get(seed_name, {}))
-        )
-    except ReproError as error:
-        errors[seed_name] = str(error)
-    except TypeError as error:
-        errors[seed_name] = f"{seed_name} rejected the options: {error}"
-
-    racing = options.algorithms[1:]
-    proven = any(result.optimal for result in results.values())
-    timed_out: list[str] = []
-    cancelled: list[str] = list(racing) if proven else []
+    proven = False
     trace = current_trace()
     members = {}
-    for name in () if proven else racing:
+    for name in names:
         member_options = tuple(dict(options.algorithm_options.get(name, {})).items())
         process = context.Process(
             target=_race_member_main,
@@ -195,29 +180,12 @@ def race_processes(
             continue
         proven = record(*report) or proven
 
-    # Whatever is still running lost: to a proof (cancelled) or to the
-    # deadline (timed out).  Either way it is terminated, not abandoned.
-    abandoned = cancelled if proven else timed_out
+    # Whatever is still running lost the race; terminate it, not abandon it.
     for name in outstanding:
         process = members[name]
         if process.is_alive():
             process.terminate()
         process.join(timeout=_JOIN_GRACE_SECONDS)
-        abandoned.append(name)
     result_queue.close()
     result_queue.cancel_join_thread()
-
-    if not results:
-        raise OptimizationError(
-            f"no portfolio member produced a plan within the budget "
-            f"(errors: {errors!r}, timed out: {timed_out!r})"
-        )
-    best = min(results.values(), key=lambda result: (result.cost, not result.optimal))
-    return PortfolioResult(
-        best=best,
-        results=results,
-        errors=errors,
-        timed_out=tuple(sorted(timed_out)),
-        cancelled=tuple(sorted(cancelled)),
-        elapsed_seconds=stopwatch.stop(),
-    )
+    return results, errors, sorted(outstanding)

@@ -2,32 +2,45 @@
 
 A plan service answers under a latency budget, but the registry's algorithms
 span five orders of magnitude in runtime: the greedy heuristics return in
-microseconds, beam search in milliseconds, branch-and-bound (exact) possibly
-much longer on large instances.  The portfolio exploits that spread:
+microseconds, beam search in milliseconds, branch-and-bound (exact) usually in
+a few milliseconds but possibly much longer on large instances.  The portfolio
+exploits that spread in three phases:
 
 1. the **anytime seed** — the first configured algorithm (greedy by default)
-   runs synchronously, so there is always an answer to return, then
-2. the remaining algorithms **race** on a :class:`~concurrent.futures.ThreadPoolExecutor`
-   until the budget expires, each completed result refining the incumbent,
-3. unless a result is **proven optimal** (``optimal=True``: branch-and-bound,
-   dynamic programming, a beam that never overflowed).  No member can beat a
-   proof, so the race returns at once — a proven seed submits nothing — and
-   the members still running are reported in
-   :attr:`PortfolioResult.cancelled`.  The served cost is the one the full
-   race would have picked.
+   runs synchronously, so there is always an answer to return;
+2. the **inline proof** — the exact members
+   (:data:`repro.core.optimizer.EXACT_ALGORITHMS`) run one after another, in
+   ladder order, on the calling thread.  Each gets a fair share of the
+   remaining budget — ``remaining / members not yet run`` — as the deadline of
+   its own :class:`~repro.core.cancel.CancelScope`, so one that cannot finish
+   its proof stops by itself and is reported in
+   :attr:`PortfolioResult.timed_out`.  A thread race under the GIL would give
+   it about the same CPU share, but beside busy heuristics its proof would
+   arrive late; inline it arrives without that convoy;
+3. the **heuristic race** — only when no seed or exact member proved
+   optimality do the remaining members race until the budget expires, each
+   completed result refining the incumbent.  A result proven optimal there
+   (a beam that never overflowed) ends the race at once, too.
+
+A proof anywhere ends the portfolio: no member can beat it, so the members
+still running are stopped and those never started are skipped, and both are
+reported in :attr:`PortfolioResult.cancelled`.  The served cost is the one the
+full race would have picked.
 
 The portfolio reuses :data:`repro.core.optimizer.ALGORITHMS` — it never
 duplicates a runner — and returns the best
 :class:`~repro.core.result.OptimizationResult` observed when the deadline
-fires.  Before the race starts it builds the problem's evaluation kernel
-(:meth:`~repro.core.problem.OrderingProblem.evaluator`) once, so every racing
-member shares the same pre-extracted arrays instead of each worker thread
-lazily building its own on first use.  Because the seed always completes, the portfolio's answer is never
-worse than the seed algorithm's; algorithms that error out (e.g. an exact
-solver refusing an over-size instance) are recorded, not fatal.
+fires.  Before the seed runs it builds the problem's evaluation kernel
+(:meth:`~repro.core.problem.OrderingProblem.evaluator`) once, so every member
+shares the same pre-extracted arrays instead of each worker thread lazily
+building its own on first use.  Because the seed always completes, the
+portfolio's answer is never worse than the seed algorithm's; algorithms that
+error out (e.g. an exact solver refusing an over-size instance) are recorded,
+not fatal.
 
-The race runs on one of two interchangeable backends
-(:attr:`PortfolioOptions.backend`):
+The heuristic race runs on one of two interchangeable backends
+(:attr:`PortfolioOptions.backend`); the seed and the inline proof are the same
+on both:
 
 * ``"threads"`` (default) — a shared
   :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap per race, but
@@ -41,10 +54,10 @@ The race runs on one of two interchangeable backends
   request's race.
 * ``"processes"`` — :func:`repro.parallel.race.race_processes`.  Every racing
   member gets its own OS process and is *terminated* at the deadline or on a
-  proof, so even a hopelessly over-budget exact solver (exhaustive
-  enumeration on a large instance) costs at most the budget.  This is the
-  backend that makes arbitrary members safe in the ladder, at the price of
-  per-race process startup.
+  proof, so even a member that never checks its scope costs at most the
+  budget.  This is the backend that makes arbitrary members safe in the
+  ladder, at the price of per-race process startup — which an inline proof
+  skips altogether.
 """
 
 from __future__ import annotations
@@ -52,14 +65,20 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.cancel import CancelScope, cancel_scope
-from repro.core.optimizer import ALGORITHMS, optimize
+from repro.core.optimizer import ALGORITHMS, EXACT_ALGORITHMS, optimize
 from repro.core.problem import OrderingProblem
 from repro.core.result import OptimizationResult
-from repro.exceptions import OptimizationError, ReproError, ServingError
+from repro.exceptions import (
+    OptimizationCancelledError,
+    OptimizationError,
+    ReproError,
+    ServingError,
+)
 from repro.obs.trace import ActiveTrace, capture, trace_span
 from repro.utils.timing import Stopwatch
 
@@ -87,7 +106,7 @@ class PortfolioOptions:
     one is the synchronous anytime seed."""
 
     budget_seconds: float | None = 1.0
-    """Wall-clock budget for the racing algorithms (``None`` waits for all)."""
+    """Wall-clock budget for every member after the seed (``None`` waits for all)."""
 
     algorithm_options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     """Per-algorithm keyword options, e.g. ``{"beam_search": {"beam_width": 8}}``."""
@@ -146,7 +165,8 @@ class PortfolioResult:
     """Error messages of members that raised, by algorithm name."""
 
     timed_out: tuple[str, ...]
-    """Members that had not finished when the budget expired."""
+    """Members that had not finished by their deadline: the budget, or an
+    exact member's fair share of it."""
 
     cancelled: tuple[str, ...]
     """Members stopped (or never started) because a result was already
@@ -237,62 +257,62 @@ class PortfolioOptimizer:
         options: PortfolioOptions,
         budget: float | None,
     ) -> PortfolioResult:
-        if options.backend == "processes":
-            from repro.parallel.race import race_processes
-
-            return race_processes(problem, options, budget)
-
-        assert self._executor is not None
         stopwatch = Stopwatch().start()
+
+        def remaining() -> float | None:
+            return None if budget is None else max(budget - stopwatch.elapsed, 0.0)
+
         # Build the shared evaluation kernel before any member runs: the racing
         # threads all reuse it, and the (idempotent) lazy construction happens
         # once instead of concurrently in every worker.
         problem.evaluator()
-        seed_name = options.algorithms[0]
+        seed_name, *unstarted = options.algorithms
         results: dict[str, OptimizationResult] = {}
         errors: dict[str, str] = {}
+        timed_out: list[str] = []
         try:
             with trace_span("portfolio.member", algorithm=seed_name, seed=True):
                 results[seed_name] = self._run_member(problem, seed_name)
         except ReproError as error:
             errors[seed_name] = str(error)
-
-        racing = options.algorithms[1:]
         proven = any(result.optimal for result in results.values())
-        timed_out: list[str] = []
-        cancelled: list[str] = list(racing) if proven else []
-        if racing and not proven:
-            # Racing members run on executor threads, where neither the
-            # ambient trace nor the cancel scope flows; hand both over.
-            context = capture()
-            scope = CancelScope()
-            futures = {
-                self._executor.submit(self._traced_member, problem, name, context, scope): name
-                for name in racing
-            }
-            pending = set(futures)
-            while pending and not proven:
-                remaining = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
-                done, pending = concurrent.futures.wait(
-                    pending, timeout=remaining, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                if not done:
-                    break  # the budget expired
-                for future in done:
-                    name = futures[future]
-                    try:
-                        results[name] = future.result()
-                    except ReproError as error:
-                        errors[name] = str(error)
-                    else:
-                        proven = proven or results[name].optimal
-            if pending:
-                # Abandoned members would otherwise run on and hold the GIL.
-                scope.cancel()
-                abandoned = cancelled if proven else timed_out
-                for future in pending:
-                    future.cancel()
-                    abandoned.append(futures[future])
+
+        for name in [name for name in unstarted if name in EXACT_ALGORITHMS]:
+            if proven:
+                break
+            left = remaining()
+            deadline = None if left is None else time.monotonic() + left / len(unstarted)
+            unstarted.remove(name)
+            try:
+                with cancel_scope(CancelScope(deadline)), trace_span(
+                    "portfolio.member", algorithm=name, inline=True
+                ):
+                    results[name] = self._run_member(problem, name)
+            except OptimizationCancelledError:
+                timed_out.append(name)
+            except ReproError as error:
+                errors[name] = str(error)
+            else:
+                proven = results[name].optimal
+
+        abandoned: list[str] = []
+        if unstarted and not proven:
+            if options.backend == "processes":
+                from repro.parallel.race import race_processes
+
+                raced, failed, abandoned = race_processes(problem, unstarted, options, remaining())
+            else:
+                raced, failed, abandoned = self._race_threads(problem, unstarted, remaining())
+            results.update(raced)
+            errors.update(failed)
+            proven = any(result.optimal for result in raced.values())
+            unstarted = []
+        # Whatever is still running lost: to a proof (cancelled) or to the
+        # deadline (timed out).  A member never started can only have lost
+        # to a proof.
+        cancelled = unstarted + abandoned if proven else []
+        if not proven:
+            timed_out += abandoned
 
         if not results:
             raise OptimizationError(
@@ -308,6 +328,51 @@ class PortfolioOptimizer:
             cancelled=tuple(sorted(cancelled)),
             elapsed_seconds=stopwatch.stop(),
         )
+
+    def _race_threads(
+        self, problem: OrderingProblem, names: list[str], budget: float | None
+    ) -> tuple[dict[str, OptimizationResult], dict[str, str], list[str]]:
+        """Race ``names`` on the shared executor for up to ``budget`` seconds.
+
+        Returns the completed results, the members' errors, and the members
+        still running when a proof arrived or the budget expired; those are
+        asked to stop through the race's cancel scope.
+        """
+        assert self._executor is not None
+        stopwatch = Stopwatch().start()
+        results: dict[str, OptimizationResult] = {}
+        errors: dict[str, str] = {}
+        # Racing members run on executor threads, where neither the ambient
+        # trace nor the cancel scope flows; hand both over.
+        context = capture()
+        scope = CancelScope()
+        futures = {
+            self._executor.submit(self._traced_member, problem, name, context, scope): name
+            for name in names
+        }
+        pending = set(futures)
+        proven = False
+        while pending and not proven:
+            remaining = None if budget is None else max(budget - stopwatch.elapsed, 0.0)
+            done, pending = concurrent.futures.wait(
+                pending, timeout=remaining, return_when=concurrent.futures.FIRST_COMPLETED
+            )
+            if not done:
+                break  # the budget expired
+            for future in done:
+                name = futures[future]
+                try:
+                    results[name] = future.result()
+                except ReproError as error:
+                    errors[name] = str(error)
+                else:
+                    proven = proven or results[name].optimal
+        if pending:
+            # Abandoned members would otherwise run on and hold the GIL.
+            scope.cancel()
+            for future in pending:
+                future.cancel()
+        return results, errors, [futures[future] for future in pending]
 
     def _traced_member(
         self,

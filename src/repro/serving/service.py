@@ -275,7 +275,14 @@ class PlanService:
         self._kernel_seen: dict[str, int] = {}
         self._cancelled_counter = self.obs.registry.counter(
             "repro_portfolio_cancelled_total",
-            "Portfolio members stopped because another member proved its plan optimal.",
+            "Portfolio members stopped or never started because another member "
+            "proved its plan optimal.",
+            labelnames=("member",),
+        )
+        self._timed_out_counter = self.obs.registry.counter(
+            "repro_portfolio_timed_out_total",
+            "Portfolio members that ran past their deadline: an exact member's "
+            "fair share of the budget, or the budget itself.",
             labelnames=("member",),
         )
         if self.config.kernel != "auto":
@@ -700,6 +707,8 @@ class PlanService:
         race = self._portfolio.optimize(problem, budget_seconds=budget_seconds)
         for member in race.cancelled:
             self._cancelled_counter.inc(member=member)
+        for member in race.timed_out:
+            self._timed_out_counter.inc(member=member)
         result = race.best
         if not self.config.cache_enabled:
             return result

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 
 import pytest
 
 from repro.core import OrderingProblem, optimize
 from repro.core.beam_search import BeamSearchOptimizer
 from repro.core.cancel import CancelScope, active_scope, cancel_scope
+from repro.core.optimizer import EXACT_ALGORITHMS
 from repro.core.vector import BatchEvaluator, numpy_available
 from repro.exceptions import OptimizationCancelledError
 
@@ -73,6 +75,48 @@ class TestScope:
             scope.check()
 
 
+    def test_deadline_scope_raises_past_its_deadline_and_not_before(self):
+        scope = CancelScope(deadline=time.monotonic() + 0.2)
+        scope.check()
+        while time.monotonic() < scope.deadline:
+            time.sleep(0.01)
+        with pytest.raises(OptimizationCancelledError, match="deadline"):
+            scope.check()
+
+    def test_cancel_stops_a_deadline_scope_early(self):
+        scope = CancelScope(deadline=time.monotonic() + 3600.0)
+        scope.check()
+        scope.cancel()
+        with pytest.raises(OptimizationCancelledError):
+            scope.check()
+
+
+def expired_scope() -> CancelScope:
+    return CancelScope(deadline=time.monotonic())
+
+
+def far_deadline_scope() -> CancelScope:
+    return CancelScope(deadline=time.monotonic() + 3600.0)
+
+
+class TestExactAlgorithms:
+    """A portfolio runs these inline, trusting their deadline checks."""
+
+    @pytest.mark.parametrize("algorithm", sorted(EXACT_ALGORITHMS))
+    @pytest.mark.parametrize(
+        "kernel", ["scalar", pytest.param("vector", marks=needs_numpy)]
+    )
+    def test_expired_scope_stops_every_exact_algorithm(self, algorithm, kernel):
+        options = {} if algorithm == "exhaustive" else {"kernel": kernel}
+        with cancel_scope(expired_scope()):
+            with pytest.raises(OptimizationCancelledError):
+                optimize(random_problem(8, 1), algorithm=algorithm, **options)
+
+    @pytest.mark.parametrize("algorithm", sorted(EXACT_ALGORITHMS))
+    def test_completed_result_is_proven_optimal(self, algorithm):
+        assert optimize(random_problem(8, 5), algorithm=algorithm).optimal
+
+
 class TestOptimizersHonourTheScope:
     @pytest.mark.parametrize(
         "algorithm, options", params(ITERATIVE) + params(VECTOR, marks=needs_numpy)
@@ -87,17 +131,27 @@ class TestOptimizersHonourTheScope:
     )
     def test_live_scope_changes_nothing(self, algorithm, options):
         """Plans, costs and statistics are bit-identical with and without a scope."""
-        problem = random_problem(8, 2)
-        plain = optimize(problem, algorithm=algorithm, **options)
-        with cancel_scope(CancelScope()):
-            scoped = optimize(problem, algorithm=algorithm, **options)
-        assert scoped.order == plain.order
-        assert scoped.cost == plain.cost
-        assert scoped.optimal == plain.optimal
-        ignore_time = {"elapsed_seconds": 0.0}
-        assert dataclasses.replace(scoped.statistics, **ignore_time) == dataclasses.replace(
-            plain.statistics, **ignore_time
-        )
+        assert_unchanged_under(CancelScope(), algorithm, options)
+
+    @pytest.mark.parametrize(
+        "algorithm, options", params(ITERATIVE) + params(VECTOR, marks=needs_numpy)
+    )
+    def test_unexpired_deadline_changes_nothing(self, algorithm, options):
+        assert_unchanged_under(far_deadline_scope(), algorithm, options)
+
+
+def assert_unchanged_under(scope: CancelScope, algorithm: str, options: dict) -> None:
+    problem = random_problem(8, 2)
+    plain = optimize(problem, algorithm=algorithm, **options)
+    with cancel_scope(scope):
+        scoped = optimize(problem, algorithm=algorithm, **options)
+    assert scoped.order == plain.order
+    assert scoped.cost == plain.cost
+    assert scoped.optimal == plain.optimal
+    ignore_time = {"elapsed_seconds": 0.0}
+    assert dataclasses.replace(scoped.statistics, **ignore_time) == dataclasses.replace(
+        plain.statistics, **ignore_time
+    )
 
 
 class TestBeamStopsWithinOneLevel:

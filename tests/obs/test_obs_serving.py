@@ -177,6 +177,9 @@ class TestShardedTracePropagation:
 
         config = _observable_config(
             budget_seconds=2.0,
+            # An exact member would run inline in the shard and prove before
+            # any race worker started; a heuristic races in its own process.
+            algorithms=("greedy_min_term", "beam_search"),
             portfolio_backend="processes",
             slow_request_seconds=None,
         )

@@ -1,10 +1,13 @@
 """Tests of process-backed portfolio racing and its hard cancellation.
 
-The cancellation test is a satellite acceptance criterion of the parallel
-engine: a deliberately over-budget *exact* member (exhaustive enumeration on
-an 11-service pruning-resistant instance, ~minutes of work) must not delay
-the race beyond its budget, because process members are terminated — not
-merely abandoned — at the deadline.
+On both backends a portfolio runs its exact members inline first, each under
+a deadline that is its fair share of the budget; only the members left after
+that race, here in their own processes.  The cancellation tests check the
+budget guarantee from both sides: an over-budget *exact* member (exhaustive
+enumeration on an 11-service pruning-resistant instance, ~minutes of work)
+stops at its deadline, and a racing member that never checks for
+cancellation is *terminated* — not merely abandoned — at the deadline or on
+a proof.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ class TestProcessBackend:
 
 class TestHardCancellation:
     def test_over_budget_exact_member_is_terminated_at_the_deadline(self):
-        """Satellite acceptance: the race returns within budget despite an
-        over-size exhaustive member, which a thread backend could not kill."""
+        """The race returns within budget despite an over-size exhaustive
+        member, which stops at its inline deadline."""
         problem = pruning_resistant_problem(11)
         budget = 0.5
         options = PortfolioOptions(
@@ -111,7 +114,7 @@ class TestHardCancellation:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the in-test registry patch only reaches fork children",
     )
-    def test_proof_terminates_a_slow_non_exact_member(self, four_service_problem, monkeypatch):
+    def test_proof_terminates_a_slow_non_exact_member(self, three_service_problem, monkeypatch):
         from repro.core.optimizer import ALGORITHMS
 
         def slow_heuristic(problem, **options):
@@ -119,17 +122,61 @@ class TestHardCancellation:
             return optimize(problem, algorithm="greedy_min_term")
 
         monkeypatch.setitem(ALGORITHMS, "slow_heuristic", slow_heuristic)
+        # Beam search keeps all 6 orders of 3 services within its default
+        # width, so the proof comes from a racing process, not from an inline
+        # exact member (which would start no process at all).
         options = PortfolioOptions(
-            algorithms=("greedy_min_term", "slow_heuristic", "branch_and_bound"),
+            algorithms=("greedy_min_term", "slow_heuristic", "beam_search"),
             budget_seconds=None,
             backend="processes",
         )
         started = time.perf_counter()
-        race = run_portfolio(four_service_problem, options)
+        race = run_portfolio(three_service_problem, options)
         assert time.perf_counter() - started < 10.0, "the race waited for the slow member"
         assert race.cancelled == ("slow_heuristic",)
         assert race.timed_out == ()
-        assert race.best.algorithm == "branch_and_bound" and race.best.optimal
+        assert race.best.algorithm == "beam_search" and race.best.optimal
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the in-test registry patch only reaches fork children",
+    )
+    def test_non_cooperative_member_is_terminated_at_the_deadline(
+        self, four_service_problem, monkeypatch
+    ):
+        from repro.core.optimizer import ALGORITHMS
+
+        def slow_heuristic(problem, **options):
+            time.sleep(30.0)  # never checks a cancel scope
+            return optimize(problem, algorithm="greedy_min_term")
+
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", slow_heuristic)
+        budget = 0.3
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "slow_heuristic"),
+            budget_seconds=budget,
+            backend="processes",
+        )
+        started = time.perf_counter()
+        race = run_portfolio(four_service_problem, options)
+        assert time.perf_counter() - started < budget + 4.0, "termination waited"
+        assert race.timed_out == ("slow_heuristic",)
+        assert race.cancelled == ()
+        assert race.best.algorithm == "greedy_min_term"
+
+    def test_inline_proof_starts_no_member_process(self, four_service_problem, monkeypatch):
+        from repro.parallel import race as race_module
+
+        def no_processes(method=None):
+            pytest.fail("a member process was started after an inline proof")
+
+        monkeypatch.setattr(race_module, "preferred_context", no_processes)
+        race = run_portfolio(
+            four_service_problem, PortfolioOptions(budget_seconds=None, backend="processes")
+        )
+        assert set(race.results) == {"greedy_min_term", "branch_and_bound"}
+        assert race.cancelled == ("beam_search",)
+        assert race.best.optimal
 
     def test_proven_seed_starts_no_member(self, four_service_problem):
         race = run_portfolio(

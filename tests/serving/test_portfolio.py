@@ -70,6 +70,14 @@ def stoppable_heuristic(stopped: threading.Event):
     return runner
 
 
+PRUNING_RESISTANT = dict(
+    # Near-unit selectivities keep exact searches from closing subtrees early.
+    selectivity_range=(0.9, 1.0),
+    cost_range=(1.0, 1.3),
+    transfer_range=(0.5, 4.0),
+)
+
+
 class TestOptions:
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ServingError):
@@ -165,24 +173,72 @@ class TestRace:
 
 
 class TestEarlyExit:
-    """A proven-optimal result ends the race; the stragglers are stopped."""
+    """A proven-optimal result ends the portfolio; the stragglers are stopped
+    or never started."""
 
     def test_proof_ends_the_race_and_stops_the_straggler(
         self, four_service_problem, monkeypatch
     ):
-        stopped = threading.Event()
-        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", stoppable_heuristic(stopped))
+        started = threading.Event()
+
+        def recording(problem, **options):
+            started.set()
+            return optimize(problem, algorithm="greedy_min_term")
+
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", recording)
         options = PortfolioOptions(
             algorithms=("greedy_min_term", "slow_heuristic", "branch_and_bound"),
             budget_seconds=None,
         )
-        started = time.perf_counter()
         race = run_portfolio(four_service_problem, options)
-        assert time.perf_counter() - started < 2.5, "the race waited for the straggler"
+        # Branch-and-bound runs inline before the race and proves optimality,
+        # so the heuristic behind it in the ladder never starts.
         assert race.cancelled == ("slow_heuristic",)
         assert race.timed_out == ()
         assert race.best.optimal and race.best.algorithm == "branch_and_bound"
+        assert not started.is_set(), "a member started after the proof"
+
+    def test_race_phase_proof_stops_a_started_straggler(
+        self, three_service_problem, monkeypatch
+    ):
+        stopped = threading.Event()
+        monkeypatch.setitem(ALGORITHMS, "slow_heuristic", stoppable_heuristic(stopped))
+        # Beam search keeps all 6 orders of 3 services within its default
+        # width, so it proves optimality from inside the race.
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "slow_heuristic", "beam_search"),
+            budget_seconds=None,
+        )
+        started = time.perf_counter()
+        race = run_portfolio(three_service_problem, options)
+        assert time.perf_counter() - started < 2.5, "the race waited for the straggler"
+        assert race.cancelled == ("slow_heuristic",)
+        assert race.timed_out == ()
+        assert race.best.optimal and race.best.algorithm == "beam_search"
         assert stopped.wait(2.0), "the cancelled member kept running"
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_exact_member_over_its_slice_times_out_and_heuristics_answer(
+        self, backend, make_random_problem
+    ):
+        problem = make_random_problem(11, 0, **PRUNING_RESISTANT)
+        budget = 0.5
+        options = PortfolioOptions(
+            algorithms=("greedy_min_term", "exhaustive", "beam_search"),
+            budget_seconds=budget,
+            # 11! orders: minutes of work, so exhaustive overruns its slice
+            # (half the budget) and stops there by itself.
+            algorithm_options={"exhaustive": {"max_size": 12}},
+            backend=backend,
+        )
+        started = time.perf_counter()
+        race = run_portfolio(problem, options)
+        elapsed = time.perf_counter() - started
+        assert elapsed < budget + 0.5, "the exact member overran the budget"
+        assert race.timed_out == ("exhaustive",)
+        assert race.cancelled == ()
+        assert set(race.results) == {"greedy_min_term", "beam_search"}
+        assert race.best.cost <= race.results["beam_search"].cost
 
     def test_proven_seed_submits_nothing(self, four_service_problem, monkeypatch):
         calls = []
@@ -225,6 +281,18 @@ class TestEarlyExit:
         assert parsed["repro_portfolio_cancelled_total"][(("member", "slow_heuristic"),)] == 1
         (race,) = [span for span in active.spans if span.name == "portfolio.race"]
         assert race.annotations["cancelled"] == 1
+
+    def test_slice_expiries_are_counted(self, make_random_problem):
+        config = PlanServiceConfig(
+            algorithms=("greedy_min_term", "exhaustive"),
+            budget_seconds=0.1,
+            algorithm_options={"exhaustive": {"max_size": 12}},
+        )
+        with PlanService(config) as service:
+            response = service.submit(make_random_problem(11, 0, **PRUNING_RESISTANT))
+            parsed = parse_prometheus_text(service.obs.registry.render())
+        assert response.algorithm == "greedy_min_term"
+        assert parsed["repro_portfolio_timed_out_total"][(("member", "exhaustive"),)] == 1
 
     @settings(max_examples=40, deadline=None)
     @given(problems())
