@@ -3,10 +3,11 @@
 Unlike the experiment benchmarks (one-shot table regeneration), these are
 repeated-measurement benchmarks of the operations a deployment performs in its
 hot path: evaluating the bottleneck cost of a plan, extending a partial plan,
-computing the residual bound, optimizing a mid-size instance, simulating a
-short stream, fingerprinting a request, answering a warm ``POST /plan`` in
-process (no socket), and racing the default portfolio on a never-seen n=24
-problem (a cache miss's optimizer work).
+computing the residual bound, building a problem's best-pair table, growing a
+greedy ``min_term`` plan, optimizing a mid-size instance, simulating a short
+stream, fingerprinting a request, answering a warm ``POST /plan`` in process
+(no socket), and racing the default portfolio on a never-seen n=24 problem (a
+cache miss's optimizer work).
 
 CI smoke-runs this file with ``python -m pytest benchmarks/bench_micro.py
 --benchmark-disable -q``; drop the flag to get timings.
@@ -20,6 +21,8 @@ import pytest
 
 from repro.core import PartialPlan, branch_and_bound, dynamic_programming
 from repro.core.bounds import max_residual_cost
+from repro.core.evaluation import PlanEvaluator
+from repro.core.greedy import GreedyStrategy, greedy
 from repro.serialization import problem_to_dict
 from repro.serving import (
     PlanService,
@@ -53,6 +56,21 @@ def test_partial_plan_extension(benchmark):
 def test_residual_bound_computation(benchmark):
     bound = benchmark(lambda: max_residual_cost(_PREFIX_12))
     assert bound.value >= 0
+
+
+def test_pair_costs_24_services(benchmark):
+    # A fresh evaluator per round: the table is memoized on the evaluator.
+    table = benchmark.pedantic(
+        PlanEvaluator.pair_costs,
+        setup=lambda: ((PlanEvaluator(_PROBLEM_24),), {}),
+        rounds=200,
+    )
+    assert len(table) == 24
+
+
+def test_greedy_min_term_24_services(benchmark):
+    result = benchmark(lambda: greedy(_PROBLEM_24, GreedyStrategy.MIN_TERM))
+    assert len(result.order) == 24
 
 
 def test_branch_and_bound_12_services(benchmark):

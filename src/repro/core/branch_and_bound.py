@@ -30,10 +30,14 @@ which carry exactly the Lemma-1 state (``ε`` and the bottleneck position)
 the former ``PartialPlan``-based implementation recomputed through tuple
 copies, and ``ε̄`` comes from
 :meth:`~repro.core.evaluation.PlanEvaluator.residual_value` over the
-pre-extracted arrays.  The kernel's ``ε`` matches the from-scratch cost
+pre-extracted arrays.  On both kernels the root's first services are ranked
+by the problem's memoized best-pair table
+(:meth:`~repro.core.evaluation.PlanEvaluator.pair_costs`), which the greedy
+seed has already built.  The kernel's ``ε`` matches the from-scratch cost
 model (:func:`repro.core.cost_model.bottleneck_cost`) bit for bit, so the
-pruning decisions are exactly those the paper's measures prescribe and the
-returned plan is a true optimum of the reported (oracle) cost.
+pruning decisions are exactly those the paper's measures prescribe; the
+result reports the kernel's cost, which
+:class:`~repro.core.result.OptimizationResult` checks against the oracle.
 
 Beside its node and time limits, every expanded node checks the ambient
 cancel scope (:mod:`repro.core.cancel`), so a portfolio race that already
@@ -102,9 +106,9 @@ class BranchAndBoundOptions:
     kernel: str | None = None
     """Evaluation kernel for successor scoring: ``"scalar"``, ``"vector"`` or
     ``"auto"`` (``None`` consults the process default).  On the vector kernel
-    the two scalar scoring loops — cheapest-``ε``-term successor ordering and
-    the best-pair ordering of first services — run as single
-    :meth:`~repro.core.vector.BatchEvaluator.score_front` calls.  Exploration
+    cheapest-``ε``-term successor ordering runs as single
+    :meth:`~repro.core.vector.BatchEvaluator.score_front` calls; both kernels
+    order first services by the shared best-pair table.  Exploration
     order, pruning decisions, statistics and the returned plan are identical
     bit for bit (the batch ``ε`` matches the scalar one exactly)."""
 
@@ -166,7 +170,7 @@ class BranchAndBoundOptimizer:
         plan = problem.plan(self._best_order)
         return OptimizationResult(
             plan=plan,
-            cost=plan.cost,
+            cost=self._best_cost,
             algorithm=self.name,
             optimal=True,
             statistics=stats,
@@ -278,9 +282,8 @@ class BranchAndBoundOptimizer:
         # first services by the cost of their best pair, which realises the
         # "append the less expensive pair of WSs" start of the algorithm.
         if partial.is_empty:
-            if self._batch is not None and len(candidates) > 1:
-                return self._vector_best_pairs(candidates)
-            return sorted(candidates, key=lambda index: (self._best_pair_cost(index), index))
+            pair_costs = self._evaluator.pair_costs()
+            return sorted(candidates, key=lambda index: (pair_costs[index], index))
         row = self._evaluator.rows[partial.last]
         return sorted(candidates, key=lambda index: (row[index], index))
 
@@ -298,44 +301,6 @@ class BranchAndBoundOptimizer:
         _, extensions, epsilons = self._batch.score_front([partial], final)
         ranking = np.argsort(epsilons, kind="stable")
         return [int(extensions[position]) for position in ranking]
-
-    def _vector_best_pairs(self, candidates: list[int]) -> list[int]:
-        """Batch variant of the best-pair first-service ordering (bit-identical).
-
-        Scores every feasible second service of every single-service prefix in
-        one call and takes the per-parent minimum — the same ``min`` over the
-        same exactly-equal epsilons the scalar :meth:`_best_pair_cost` loop
-        computes.  A first service whose every successor is constrained out
-        keeps its own ``ε`` as cost, mirroring the scalar fallback.
-        """
-        import numpy as np  # repro-lint: disable=RL004 — vector-only path; resolve_kernel proved numpy importable
-
-        root = self._evaluator.root()
-        starts = [root.extend(first) for first in candidates]
-        parents, _, epsilons = self._batch.score_front(starts, self._problem.size == 2)
-        pair_costs = np.fromiter(
-            (start.epsilon for start in starts), dtype=np.float64, count=len(starts)
-        )
-        if len(parents):
-            minima = np.full(len(starts), np.inf)
-            np.minimum.at(minima, parents, epsilons)
-            children = np.bincount(parents, minlength=len(starts))
-            pair_costs = np.where(children > 0, minima, pair_costs)
-        return [
-            candidates[position]
-            for position in sorted(
-                range(len(candidates)),
-                key=lambda position: (pair_costs[position], candidates[position]),
-            )
-        ]
-
-    def _best_pair_cost(self, first: int) -> float:
-        """Bottleneck cost of the best two-service prefix starting with ``first``."""
-        start = self._evaluator.root().extend(first)
-        candidates = start.allowed_extensions()
-        if not candidates:
-            return start.epsilon
-        return min(start.extend(second).epsilon for second in candidates)
 
     def _check_limits(self) -> None:
         if self._cancel is not None:

@@ -11,12 +11,17 @@ search or branch-and-bound.  This module provides the fast path:
 * :class:`PlanEvaluator` — bound once to a problem; pre-extracts the cost,
   selectivity, transfer-row and sink-transfer arrays (plus precedence
   predecessor bitmasks) and evaluates complete plans in one tight loop with
-  no validation and no intermediate objects.
+  no validation and no intermediate objects.  It also memoizes the problem's
+  best-pair table (:meth:`PlanEvaluator.pair_costs`, one allocation-free
+  pass), which greedy nearest-successor and branch-and-bound both rank first
+  services by, so one table serves every optimizer of the problem.
 * :class:`PrefixState` — an immutable, O(1)-extend prefix of a plan carrying
   the input rate, the running bottleneck maximum (``ε``) and its position,
   and the last service.  Constructive searches (greedy, beam,
   branch-and-bound, exhaustive enumeration) grow plans through it instead of
-  re-scoring prefixes from scratch.
+  re-scoring prefixes from scratch;
+  :meth:`PrefixState.cheapest_extension` picks the minimum-``ε`` extension
+  without building the candidate states.
 * :class:`NeighborhoodEvaluator` — delta evaluation for swap and
   relocate/insert moves around a fixed base plan.  Only the affected window
   is re-scored; the scan stops early once the running maximum can no longer
@@ -88,7 +93,12 @@ class KernelProfile:
         self.bounded_evaluations = 0
         """Short-circuited scores (:meth:`PlanEvaluator.cost_bounded`)."""
         self.delta_evaluations = 0
-        """Neighborhood delta scans (:meth:`NeighborhoodEvaluator._scan`)."""
+        """Incremental scores: neighborhood delta scans
+        (:meth:`NeighborhoodEvaluator._scan`), prefix extensions
+        (:meth:`PrefixState.extend`), pairs scored by a best-pair table build
+        (:meth:`PlanEvaluator.pair_costs`) and candidates scored by
+        :meth:`PrefixState.cheapest_extension` — the last two incremented once
+        per call by their count, like :attr:`batch_evaluations`."""
         self.batch_evaluations = 0
         """Candidates scored through the vector kernel
         (:class:`repro.core.vector.BatchEvaluator`) — incremented once per
@@ -171,10 +181,12 @@ class PlanEvaluator:
         "sink",
         "predecessor_masks",
         "batch_cache",
+        "_pair_costs",
     )
 
     def __init__(self, problem: "OrderingProblem") -> None:
         self.problem = problem
+        self._pair_costs: tuple[float, ...] | None = None
         self.batch_cache: dict | None = None
         """Lazily-populated :class:`repro.core.vector.BatchEvaluator` cache,
         keyed by ``fast_math`` — managed by :func:`repro.core.vector.batch_evaluator`."""
@@ -256,6 +268,64 @@ class PlanEvaluator:
                     return best
             rate = rate * selectivities[service]
         return best
+
+    def pair_costs(self) -> tuple[float, ...]:
+        """Per first service, the bottleneck cost ``ε`` of its cheapest two-service prefix.
+
+        Entry ``i`` equals ``min(root().extend(i).extend(j).epsilon)`` over
+        the seconds ``j`` precedence allows after ``i`` alone, bit for bit:
+        the loop uses :meth:`PrefixState.extend`'s expression shapes on the
+        raw arrays and builds no state.  A one-service problem's entry is the
+        service's full term (sink transfer included); a first service whose
+        every second is constrained out keeps its own ``ε``.  Built once per
+        evaluator (a rare duplicate build under concurrency is harmless).
+        """
+        cached = self._pair_costs
+        if cached is None:
+            cached = self._build_pair_costs()
+            self._pair_costs = cached
+        return cached
+
+    def _build_pair_costs(self) -> tuple[float, ...]:
+        size = self.size
+        costs = self.costs
+        selectivities = self.selectivities
+        sink = self.sink
+        if size == 1:
+            return (1.0 * costs[0] + 1.0 * selectivities[0] * sink[0],)
+        masks = self.predecessor_masks
+        final = size == 2
+        scored = 0
+        table = []
+        for first in range(size):
+            # root().extend(first) at rate 1.0: its processing-only term is
+            # its own ε and the first half of its settled term.
+            own = 1.0 * costs[first]
+            output_rate = 1.0 * selectivities[first]
+            row = self.rows[first]
+            unplaced = ~(1 << first)
+            best = None
+            for second in range(size):
+                if second == first or (masks is not None and masks[second] & unplaced):
+                    continue
+                scored += 1
+                # Validated inputs are finite and non-negative, so the
+                # settled term always beats extend()'s initial -inf maximum.
+                settled = own + output_rate * row[second]
+                if final:
+                    partial = (
+                        output_rate * costs[second]
+                        + output_rate * selectivities[second] * sink[second]
+                    )
+                else:
+                    partial = output_rate * costs[second]
+                epsilon = settled if settled >= partial else partial
+                if best is None or epsilon < best:
+                    best = epsilon
+            table.append(own if best is None else best)
+        if _profile is not None:
+            _profile.delta_evaluations += scored
+        return tuple(table)
 
     # -- prefix states ------------------------------------------------------
 
@@ -439,6 +509,48 @@ class PrefixState:
         ]
 
     # -- extension ---------------------------------------------------------
+
+    def cheapest_extension(self, candidates: Sequence[int]) -> int:
+        """The candidate minimising ``(extend(candidate).epsilon, candidate)``.
+
+        Scores each candidate with :meth:`extend`'s expression shapes without
+        building its state, so the pick is the one ``min`` over extended
+        states would make.  ``candidates`` must not be empty.
+        """
+        if not candidates:
+            raise ValueError("cheapest_extension() needs at least one candidate")
+        if _profile is not None:
+            _profile.delta_evaluations += len(candidates)
+        evaluator = self.evaluator
+        costs = evaluator.costs
+        selectivities = evaluator.selectivities
+        sink = evaluator.sink
+        settled_max = self.settled_max
+        new_rate = self.output_rate
+        length = self.length
+        final = length + 1 == evaluator.size
+        if length:
+            rate = self.rate
+            settled_base = rate * costs[self.last]
+            settled_scale = rate * selectivities[self.last]
+            row = evaluator.rows[self.last]
+        best_index = -1
+        best = _INF
+        for index in candidates:
+            settled = settled_max
+            if length:
+                settled_term = settled_base + settled_scale * row[index]
+                if settled_term > settled:
+                    settled = settled_term
+            if final:
+                partial = new_rate * costs[index] + new_rate * selectivities[index] * sink[index]
+            else:
+                partial = new_rate * costs[index]
+            epsilon = settled if settled >= partial else partial
+            if best_index < 0 or epsilon < best or (epsilon == best and index < best_index):
+                best = epsilon
+                best_index = index
+        return best_index
 
     def extend(self, service_index: int) -> "PrefixState":
         """The prefix obtained by appending ``service_index`` — O(1).

@@ -6,12 +6,19 @@ branch-and-bound search starts from.  None of them is optimal in general; all
 of them respect precedence constraints.
 
 Plans are grown through the evaluation kernel's O(1)-extend
-:class:`~repro.core.evaluation.PrefixState` — the one-step-lookahead
-``min_term`` strategy in particular scores every candidate extension in O(1)
-instead of copying prefix tuples.  The kernel's ``epsilon`` arithmetic is
+:class:`~repro.core.evaluation.PrefixState`.  The one-step-lookahead
+``min_term`` strategy scores its candidates with
+:meth:`~repro.core.evaluation.PrefixState.cheapest_extension`, which builds
+no candidate state, and ``nearest_successor`` picks its first service from
+the problem's memoized best-pair table
+(:meth:`~repro.core.evaluation.PlanEvaluator.pair_costs`), the same table
+branch-and-bound orders its root by.  The kernel's ``epsilon`` arithmetic is
 bit-identical to the from-scratch cost model
-(:func:`repro.core.cost_model.bottleneck_cost`), and candidates are still
-ranked with the same ``(score, index)`` tie-breaking as before the kernel.
+(:func:`repro.core.cost_model.bottleneck_cost`), candidates are ranked with
+the same ``(score, index)`` tie-breaking as before the kernel, and the
+result reports the kernel's cost, which
+:class:`~repro.core.result.OptimizationResult` cross-checks against the
+oracle once.
 """
 
 from __future__ import annotations
@@ -90,7 +97,7 @@ class GreedyOptimizer:
         stats.elapsed_seconds = stopwatch.stop()
         plan = problem.plan(state.order)
         return OptimizationResult(
-            plan=plan, cost=plan.cost, algorithm=self.name, optimal=False, statistics=stats
+            plan=plan, cost=state.epsilon, algorithm=self.name, optimal=False, statistics=stats
         )
 
     # -- strategy implementations ---------------------------------------------
@@ -109,23 +116,13 @@ class GreedyOptimizer:
         if self.strategy == GreedyStrategy.MOST_SELECTIVE:
             return min(candidates, key=lambda index: (evaluator.selectivities[index], index))
         if self.strategy == GreedyStrategy.MIN_TERM:
-            return min(candidates, key=lambda index: (state.extend(index).epsilon, index))
+            return state.cheapest_extension(candidates)
         # NEAREST_SUCCESSOR
         if state.is_empty:
-            return min(
-                candidates, key=lambda index: (_best_pair_cost(evaluator, index), index)
-            )
+            pair_costs = evaluator.pair_costs()
+            return min(candidates, key=lambda index: (pair_costs[index], index))
         last = state.last
         return min(candidates, key=lambda index: (evaluator.rows[last][index], index))
-
-
-def _best_pair_cost(evaluator: PlanEvaluator, first: int) -> float:
-    """Bottleneck cost of the cheapest two-service prefix starting with ``first``."""
-    start = evaluator.root().extend(first)
-    candidates = start.allowed_extensions()
-    if not candidates:
-        return start.epsilon
-    return min(start.extend(second).epsilon for second in candidates)
 
 
 def greedy(

@@ -21,6 +21,7 @@ complete ``PartialPlan``'s ``epsilon`` is bit-identical to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.exceptions import InvalidPlanError
@@ -38,7 +39,8 @@ class Plan:
 
     Instances are normally created through
     :meth:`repro.core.problem.OrderingProblem.plan`, which also validates the
-    ordering (permutation + precedence constraints).
+    ordering (permutation + precedence constraints).  The problem is
+    immutable, so :attr:`cost` is computed once per plan.
     """
 
     problem: "OrderingProblem"
@@ -49,9 +51,9 @@ class Plan:
         """Number of services in the plan."""
         return len(self.order)
 
-    @property
+    @cached_property
     def cost(self) -> float:
-        """The bottleneck cost metric (Eq. 1) of the plan."""
+        """The bottleneck cost metric (Eq. 1) of the plan (computed once)."""
         return self.problem.cost(self.order)
 
     @property

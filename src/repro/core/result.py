@@ -103,6 +103,8 @@ class OptimizationResult:
     """Work counters collected during the search."""
 
     def __post_init__(self) -> None:
+        # Optimizers that report their kernel's cost get it cross-checked
+        # here against the from-scratch oracle (Plan.cost, computed once).
         expected = self.plan.cost
         if abs(expected - self.cost) > 1e-9 * max(1.0, abs(expected)):
             raise ValueError(
